@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -570,7 +571,7 @@ size_t ShardedFilter::WorstFprShard(uint64_t min_negative_lookups) const {
 bool ShardedFilter::EnableMigration(const MigrationConfig& config) {
   // All shard locks held at once (ordered, so no deadlock risk) so the
   // emptiness check and the arm are one atomic step across the filter.
-  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  std::vector<std::unique_lock<ShardLock>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
   for (const auto& shard : shards_) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,6 +11,7 @@
 
 #include "core/filter.h"
 #include "core/fpr_estimator.h"
+#include "core/shard_lock.h"
 
 namespace bbf {
 
@@ -65,9 +65,10 @@ struct SaturationConfig {
 /// Thread scaling (§1, feature 6): a hash-sharded wrapper that turns any
 /// dynamic filter into a concurrent one. Keys partition across S
 /// independent shards by high hash bits; each shard is guarded by its own
-/// reader-writer lock, so queries proceed fully in parallel and inserts
-/// contend only within a shard — the standard recipe behind concurrent
-/// CQF deployments.
+/// ShardLock, whose readers write only a per-thread cache line. Queries on
+/// different cores therefore share no written memory and scale with
+/// threads, while inserts contend only within a shard — the standard
+/// recipe behind concurrent CQF deployments.
 ///
 /// Overload behaviour: each shard is a chain of generations (usually one).
 /// When the newest generation crosses the configured load threshold the
@@ -304,7 +305,7 @@ class ShardedFilter : public Filter {
 
  private:
   struct Shard {
-    mutable std::shared_mutex mutex;
+    mutable ShardLock mutex;
     // Generations, oldest first; inserts target back(). Never empty.
     std::vector<std::unique_ptr<Filter>> gens;
     uint64_t newest_capacity;  // Capacity back() was built with.

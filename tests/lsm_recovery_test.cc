@@ -20,6 +20,7 @@
 #include "apps/lsm/manifest.h"
 #include "fault_injection.h"
 #include "obs/export.h"
+#include "test_paths.h"
 #include "test_seed.h"
 #include "util/random.h"
 
@@ -130,8 +131,9 @@ class CrashEnv : public StorageEnv {
 
 // --- Shared helpers ----------------------------------------------------------
 
+// An empty directory owned by the running test (and parameter instance).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "bbf_lsm_" + name;
+  const std::string dir = TestScopedPath(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -10,6 +10,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include "core/sharded_filter.h"
 #include "fault_injection.h"
 #include "quotient/quotient_filter.h"
+#include "test_paths.h"
 #include "test_seed.h"
 #include "workload/generators.h"
 
@@ -370,18 +372,32 @@ TEST(WireServer, OverBudgetRequestsGetBusyNacksNotSilence) {
   Server server(filter.get(), config);
   ASSERT_TRUE(server.Start());
 
-  // A socketpair lets the test throttle the server's send buffer, which
-  // TCP loopback would happily hide behind megabytes of kernel buffer.
+  // A socketpair whose server end is full before the server ever sees it:
+  // the test writes into that end's send buffer until the kernel refuses
+  // more, and reads none of it back until the budget has engaged. Every
+  // response therefore stays pending, so the budget engages by
+  // construction rather than by a race with the reader.
   int sp[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
   int tiny = 4096;
-  setsockopt(sp[1], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny));
+  ASSERT_EQ(setsockopt(sp[1], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)), 0);
+  const std::string junk(512, '\0');
+  size_t prefill = 0;
+  while (true) {
+    const ssize_t n = ::send(sp[1], junk.data(), junk.size(),
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      break;
+    }
+    prefill += static_cast<size_t>(n);
+  }
+  ASSERT_GT(prefill, 0u);
   server.AdoptConnection(sp[1]);
 
-  // Flood 64 lookups (2 KiB request, ~2 KiB response each) while reading
-  // nothing: the server's send buffer jams, pending bytes cross the
-  // budget, and later frames must be NACKed kBusy — then served normally
-  // once the client finally reads.
+  // Flood 64 lookups (2 KiB request, ~300 B response each) while reading
+  // nothing: pending response bytes cross the budget, and later frames
+  // must be NACKed kBusy — then served normally once the client reads.
   const auto keys = GenerateDistinctKeys(256, TestSeed(902));
   constexpr int kFrames = 64;
   std::string flood;
@@ -393,11 +409,19 @@ TEST(WireServer, OverBudgetRequestsGetBusyNacksNotSilence) {
   }
   ASSERT_TRUE(RawWrite(sp[0], flood));
   ::shutdown(sp[0], SHUT_WR);
+  const auto engage_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.metrics().nacked_busy.Load() == 0 &&
+         std::chrono::steady_clock::now() < engage_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   timeval tv{};
   tv.tv_sec = 5;
   setsockopt(sp[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const auto frames = ParseFrames(RawDrain(sp[0]));
+  const std::string stream = RawDrain(sp[0]);
   ::close(sp[0]);
+  ASSERT_GE(stream.size(), prefill);
+  const auto frames = ParseFrames(stream.substr(prefill));
 
   // Every frame was answered — kOk with a full body or an explicit kBusy
   // NACK. Nothing was silently dropped, and the connection survived.
@@ -537,8 +561,7 @@ TEST(WireServer, PartialWritesReassembleIntoServedFrames) {
 }
 
 TEST(WireServer, GracefulDrainFinishesInflightAndSnapshots) {
-  const std::string snap_path =
-      ::testing::TempDir() + "/net_drain_snapshot.bbf";
+  const std::string snap_path = TestScopedPath("net_drain_snapshot.bbf");
   std::remove(snap_path.c_str());
 
   auto filter = MakeFilter();

@@ -322,7 +322,9 @@ TEST(ShardedOverload, InsertManyWithStatusMatchesPerKeyPath) {
   }
   EXPECT_EQ(batched.NumKeys(), ref.NumKeys());
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (Accepted(got[i])) ASSERT_TRUE(batched.Contains(keys[i]));
+    if (Accepted(got[i])) {
+      ASSERT_TRUE(batched.Contains(keys[i]));
+    }
   }
 }
 
