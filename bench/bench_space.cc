@@ -1,7 +1,8 @@
 // Experiment E1 (DESIGN.md §4): space vs theory.
 //
-// Paper claims (§2, §2.7): quotient = n lg(1/eps) + ~3n bits (2.125n with
-// the CQF's metadata scheme), cuckoo = n lg(1/eps) + 3n, Bloom =
+// Paper claims (§2, §2.7): quotient = n lg(1/eps) + 2.125n bits with the
+// rank-and-select metadata scheme (3n with the original three metadata
+// bits), cuckoo = n lg(1/eps) + 3n, Bloom =
 // 1.44 n lg(1/eps), XOR = 1.23 n lg(1/eps), ribbon ~ 1.05 n lg(1/eps).
 // We size every filter for the same target FPR and report measured
 // bits/key next to measured FPR.
@@ -50,11 +51,11 @@ void RunAtFpr(double fpr, uint64_t n) {
 
   QuotientFilter qf = QuotientFilter::ForCapacity(n, fpr);
   for (uint64_t k : keys) qf.Insert(k);
-  Report("quotient(3bit)", qf, fpr, negatives);
+  Report("quotient", qf, fpr, negatives);
 
   Rsqf rsqf = Rsqf::ForCapacity(n, fpr);
   for (uint64_t k : keys) rsqf.Insert(k);
-  Report("rsqf(2.25bit)", rsqf, fpr, negatives);
+  Report("rsqf", rsqf, fpr, negatives);
 
   CuckooFilter cf = CuckooFilter::ForFpr(n, fpr);
   for (uint64_t k : keys) cf.Insert(k);
@@ -96,8 +97,9 @@ int main() {
   RunAtFpr(1.0 / 256, n);     // eps = 2^-8 (paper's "typical value").
   RunAtFpr(1.0 / 65536, n);   // eps = 2^-16.
   std::printf(
-      "expected shape (paper §2/§2.7): bloom pays 1.44x; quotient/cuckoo pay\n"
-      "an additive ~3 bits/key (the rsqf trims that to ~2.25, the paper's\n"
-      "2.125n claim); xor pays 1.23x; ribbon is closest to 1x.\n");
+      "expected shape (paper §2/§2.7): bloom pays 1.44x; cuckoo pays an\n"
+      "additive ~3 bits/key, quotient and rsqf (one rank-and-select table)\n"
+      "~2.25, the paper's 2.125n claim; xor pays 1.23x; ribbon is closest\n"
+      "to 1x.\n");
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "core/metrics_sink.h"
 #include "util/bits.h"
@@ -26,26 +25,14 @@ uint64_t TaffyFilter::BitsOf(uint64_t encoded) {
 
 void TaffyFilter::KeyParts(HashedKey key, uint64_t* fq, uint64_t* fp) const {
   const uint64_t h = key.Derive(hash_seed_);
-  *fq = h & (table_.num_slots() - 1);
+  *fq = h & (table_.num_quotients() - 1);
   *fp = h >> table_.q_bits();  // Fresh fingerprints take the next bits.
 }
 
 bool TaffyFilter::InsertEncoded(uint64_t fq, uint64_t encoded) {
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, encoded, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (was_occupied) {
-    // Runs are unordered here (lengths vary); insert as the new head.
-    table_.set_continuation(start, true);
-  }
-  table_.InsertSlotAt(start, fq, encoded, /*continuation=*/false);
-  return true;
+  if (table_.num_used_slots() + 1 >= table_.num_quotients()) return false;
+  // Runs are unordered here (lengths vary); append at the run end.
+  return table_.InsertValue(fq, encoded, /*sorted=*/false);
 }
 
 bool TaffyFilter::Insert(HashedKey key) {
@@ -63,54 +50,44 @@ bool TaffyFilter::Contains(HashedKey key) const {
   uint64_t fq;
   uint64_t fp;
   KeyParts(key, &fq, &fp);
-  if (!table_.occupied(fq)) return false;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
-    const uint64_t encoded = table_.remainder(s);
-    const int len = LengthOf(encoded);
+  bool hit = false;
+  table_.ScanRun(fq, [&](uint64_t encoded) {
     // A stored fingerprint matches if it is a prefix (in low-order bits)
     // of the query's fingerprint; void entries (len 0) match everything.
-    if ((fp & LowMask(len)) == BitsOf(encoded)) return true;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  return false;
+    hit = (fp & LowMask(LengthOf(encoded))) == BitsOf(encoded);
+    return !hit;
+  });
+  return hit;
 }
 
 bool TaffyFilter::Erase(HashedKey key) {
   uint64_t fq;
   uint64_t fp;
   KeyParts(key, &fq, &fp);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
+  if (!table_.Occupied(fq)) return false;
   // Remove the longest matching fingerprint (most specific entry).
   uint64_t best_pos = 0;
   int best_len = -1;
-  uint64_t s = start;
-  do {
-    const uint64_t encoded = table_.remainder(s);
+  const uint64_t end = table_.RunEnd(fq);
+  for (uint64_t pos = table_.RunStart(fq); pos <= end; ++pos) {
+    const uint64_t encoded = table_.Get(pos);
     const int len = LengthOf(encoded);
     if ((fp & LowMask(len)) == BitsOf(encoded) && len > best_len) {
       best_len = len;
-      best_pos = s;
+      best_pos = pos;
     }
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+  }
   if (best_len < 0) return false;
-  table_.RemoveEntry(best_pos, start, fq);
+  table_.RemoveAt(fq, best_pos);
   --num_keys_;
   return true;
 }
 
 void TaffyFilter::Expand() {
-  std::vector<std::pair<uint64_t, uint64_t>> entries;  // (quotient, encoded).
-  entries.reserve(table_.num_used_slots());
-  table_.ForEachSlot([&](uint64_t q, uint64_t slot) {
-    entries.emplace_back(q, table_.remainder(slot));
-  });
   const int old_q = table_.q_bits();
-  QuotientTable bigger(old_q + 1, table_.r_bits());
-  table_ = std::move(bigger);
-  for (const auto& [fq, encoded] : entries) {
+  RsqfTable old = std::move(table_);
+  table_ = RsqfTable(old_q + 1, fingerprint_bits_ + 1);
+  old.ForEachValue([&](uint64_t fq, uint64_t encoded) {
     const int len = LengthOf(encoded);
     if (len == 0) {
       // Void fingerprint: the donated bit is unknown, so the entry lives
@@ -122,37 +99,44 @@ void TaffyFilter::Expand() {
       const uint64_t new_fq = fq | ((bits & 1) << old_q);
       InsertEncoded(new_fq, Encode(bits >> 1, len - 1));
     }
-  }
+  });
   ++expansions_;
   if (sink_ != nullptr) sink_->OnExpansion();
 }
 
 bool TaffyFilter::SavePayload(std::ostream& os) const {
+  WriteU64(os, RsqfTable::kLayoutMarker);
   WriteI32(os, fingerprint_bits_);
   WriteI32(os, expansions_);
+  WriteI32(os, table_.q_bits());
   WriteU64(os, hash_seed_);
   WriteU64(os, num_keys_);
-  table_.Save(os);
+  table_.SaveBody(os);
   return os.good();
 }
 
 bool TaffyFilter::LoadPayload(std::istream& is) {
+  uint64_t marker;
   int32_t f;
   int32_t expansions;
+  int32_t q;
   uint64_t seed;
   uint64_t n;
-  if (!ReadI32(is, &f) || f < 1 || f > 62 || !ReadI32(is, &expansions) ||
-      expansions < 0 || expansions > 64 || !ReadU64(is, &seed) ||
-      !ReadU64(is, &n)) {
+  if (!ReadU64(is, &marker) || marker != RsqfTable::kLayoutMarker ||
+      !ReadI32(is, &f) || f < 1 || f > 62 || !ReadI32(is, &expansions) ||
+      expansions < 0 || expansions > 64 || !ReadI32(is, &q) || q < 1 ||
+      q > 38 || !ReadU64(is, &seed) || !ReadU64(is, &n)) {
     return false;
   }
-  QuotientTable table;
   // Slot width is the fresh fingerprint length plus the unary delimiter;
   // it never changes across expansions.
-  if (!table.Load(is) || table.r_bits() != f + 1 || table.has_tag() ||
-      table.value_bits() != 0) {
-    return false;
-  }
+  RsqfTable table(1, 1);
+  if (!RsqfTable::LoadBody(is, q, f + 1, &table)) return false;
+  // Every stored slot must carry its delimiter: a zero slot has no length.
+  bool delimited = true;
+  table.ForEachValue(
+      [&](uint64_t, uint64_t encoded) { delimited &= encoded != 0; });
+  if (!delimited) return false;
   fingerprint_bits_ = f;
   expansions_ = expansions;
   hash_seed_ = seed;

@@ -4,12 +4,12 @@
 #include <cstdint>
 
 #include "core/filter.h"
-#include "quotient/quotient_table.h"
+#include "quotient/rsqf.h"
 
 namespace bbf {
 
 /// Taffy/InfiniFilter-style expandable filter (§2.2, DESIGN.md §6.2):
-/// a quotient table whose slots hold *variable-length* fingerprints,
+/// an RsqfTable whose slots hold *variable-length* fingerprints,
 /// self-delimited by a unary marker bit (value = 1 << len | bits). On
 /// expansion the table doubles and every fingerprint donates its lowest
 /// bit to the quotient — exactly the bit a fresh hash would place there —
@@ -44,7 +44,7 @@ class TaffyFilter : public Filter {
   int expansions() const { return expansions_; }
   int q_bits() const { return table_.q_bits(); }
   double LoadFactor() const override { return table_.LoadFactor(); }
-  const QuotientTable& table() const { return table_; }
+  const RsqfTable& table() const { return table_; }
 
   static constexpr double kMaxLoadFactor = 0.90;
 
@@ -64,7 +64,7 @@ class TaffyFilter : public Filter {
   bool InsertEncoded(uint64_t fq, uint64_t encoded);
   void Expand();
 
-  QuotientTable table_;
+  RsqfTable table_;
   int fingerprint_bits_;
   uint64_t hash_seed_;
   uint64_t num_keys_ = 0;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "quotient/quotient_filter.h"
 #include "util/bits.h"
 
 namespace bbf {
@@ -20,10 +19,10 @@ bool ExpandingQuotientMaplet::Insert(uint64_t key, uint64_t value) {
 }
 
 bool ExpandingQuotientMaplet::Expand() {
-  const int r = maplet_.table_.r_bits();
+  const int r = maplet_.r_bits();
   if (r <= 1) return false;
-  QuotientMaplet bigger(maplet_.table_.q_bits() + 1, r - 1,
-                        maplet_.table_.value_bits(), hash_seed_);
+  QuotientMaplet bigger(maplet_.q_bits() + 1, r - 1, maplet_.value_bits(),
+                        hash_seed_);
   maplet_.ForEachEntry([&](uint64_t fq, uint64_t fr, uint64_t value) {
     const uint64_t new_fq = (fq << 1) | (fr >> (r - 1));
     bigger.InsertFingerprint(new_fq, fr & LowMask(r - 1), value);

@@ -34,7 +34,7 @@ class ExpandingQuotientMaplet {
   size_t SpaceBits() const { return maplet_.SpaceBits(); }
   uint64_t NumEntries() const { return maplet_.NumEntries(); }
   int expansions() const { return expansions_; }
-  int r_bits() const { return maplet_.table_.r_bits(); }
+  int r_bits() const { return maplet_.r_bits(); }
 
  private:
   bool Expand();

@@ -21,10 +21,56 @@ void SizeFor(uint64_t n, double fpr, int* q_bits, int* r_bits) {
   *r_bits = std::max(1, static_cast<int>(std::ceil(needed)));
 }
 
+// Shared admission rule of the plain and counting quotient filters: below
+// the maximum load, and never a full quotient's worth of slots.
+bool HasRoom(const RsqfTable& table) {
+  return table.LoadFactor() < QuotientFilter::kMaxLoadFactor &&
+         table.num_used_slots() + 1 < table.num_quotients();
+}
+
+// Shared payload shape of the plain and counting quotient filters: layout
+// marker, geometry, seed, key count, then the table body. The table loads
+// into a local and is only committed on success, so a corrupt payload
+// cannot leave a half-written filter behind.
+void SaveQfPayload(std::ostream& os, int r_bits, uint64_t hash_seed,
+                   uint64_t num_keys, const RsqfTable& table) {
+  WriteU64(os, RsqfTable::kLayoutMarker);
+  WriteI32(os, table.q_bits());
+  WriteI32(os, r_bits);
+  WriteU64(os, hash_seed);
+  WriteU64(os, num_keys);
+  table.SaveBody(os);
+}
+
+// `extra_bits` is the payload width beyond the remainder (the counting
+// variant's digit flag). r stays below 64 so the fingerprint split's
+// shift by r is defined.
+bool LoadQfPayload(std::istream& is, int extra_bits, int* r_bits,
+                   uint64_t* hash_seed, uint64_t* num_keys,
+                   RsqfTable* table) {
+  uint64_t marker;
+  int32_t q;
+  int32_t r;
+  uint64_t seed;
+  uint64_t n;
+  if (!ReadU64(is, &marker) || marker != RsqfTable::kLayoutMarker ||
+      !ReadI32(is, &q) || q < 1 || q > 38 || !ReadI32(is, &r) || r < 1 ||
+      r > 63 || !ReadU64(is, &seed) || !ReadU64(is, &n)) {
+    return false;
+  }
+  RsqfTable fresh(1, 1);
+  if (!RsqfTable::LoadBody(is, q, r + extra_bits, &fresh)) return false;
+  *r_bits = r;
+  *hash_seed = seed;
+  *num_keys = n;
+  *table = std::move(fresh);
+  return true;
+}
+
 }  // namespace
 
 QuotientFilter::QuotientFilter(int q_bits, int r_bits, uint64_t hash_seed)
-    : table_(q_bits, r_bits), hash_seed_(hash_seed) {}
+    : table_(q_bits, r_bits), r_bits_(r_bits), hash_seed_(hash_seed) {}
 
 QuotientFilter QuotientFilter::ForCapacity(uint64_t n, double fpr) {
   int q_bits;
@@ -36,15 +82,12 @@ QuotientFilter QuotientFilter::ForCapacity(uint64_t n, double fpr) {
 void QuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
                                  uint64_t* fr) const {
   const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
+  *fr = h & LowMask(r_bits_);
 }
 
 bool QuotientFilter::Insert(HashedKey key) {
-  if (table_.LoadFactor() >= kMaxLoadFactor ||
-      table_.num_used_slots() + 1 >= table_.num_slots()) {
-    return false;
-  }
+  if (!HasRoom(table_)) return false;
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
@@ -54,35 +97,8 @@ bool QuotientFilter::Insert(HashedKey key) {
 }
 
 bool QuotientFilter::InsertFingerprint(uint64_t fq, uint64_t fr) {
-  // One slot must always stay empty: clusters and scans rely on it.
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    // New run: its head slides in at `start`, displacing later runs.
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-    return true;
-  }
-  // Existing run: keep remainders sorted.
-  uint64_t s = start;
-  do {
-    if (table_.remainder(s) >= fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (s == start) {
-    // New minimum: the old head becomes a continuation as it shifts.
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/false);
-  } else {
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/true);
-  }
-  return true;
+  // Runs are unordered multisets: a new remainder joins its run's end.
+  return table_.InsertValue(fq, fr, /*sorted=*/false);
 }
 
 bool QuotientFilter::Contains(HashedKey key) const {
@@ -93,21 +109,8 @@ bool QuotientFilter::Contains(HashedKey key) const {
 }
 
 bool QuotientFilter::ContainsFingerprint(uint64_t fq, uint64_t fr) const {
-  uint64_t probed = 0;  // Run slots scanned; 0 = unoccupied home slot.
-  bool found = false;
-  if (table_.occupied(fq)) {
-    uint64_t s = table_.FindRunStart(fq);
-    do {
-      ++probed;
-      const uint64_t rem = table_.remainder(s);
-      if (rem == fr) {
-        found = true;
-        break;
-      }
-      if (rem > fr) break;  // Runs are sorted.
-      s = table_.Next(s);
-    } while (table_.continuation(s));
-  }
+  uint64_t probed;  // Run slots scanned; 0 = unoccupied quotient.
+  const bool found = table_.ContainsValue(fq, fr, &probed);
   if (sink_ != nullptr) sink_->OnProbeLength(probed);
   return found;
 }
@@ -127,12 +130,12 @@ void QuotientFilter::ContainsMany(std::span<const HashedKey> keys,
   uint64_t fr[kTile];
   for (size_t base = 0; base < keys.size(); base += kTile) {
     const size_t n = std::min(kTile, keys.size() - base);
-    // Pass 1: fingerprint and request each home slot's four planes.
+    // Pass 1: fingerprint and request each quotient's lines.
     for (size_t j = 0; j < n; ++j) {
       Fingerprint(keys[base + j], &fq[j], &fr[j]);
-      table_.PrefetchSlot(fq[j]);
+      table_.Prefetch(fq[j]);
     }
-    // Pass 2: walk the runs; the home-slot lines are resident by now.
+    // Pass 2: walk the runs; the home lines are resident by now.
     for (size_t j = 0; j < n; ++j) {
       out[base + j] = ContainsFingerprint(fq[j], fr[j]) ? 1 : 0;
     }
@@ -148,15 +151,11 @@ size_t QuotientFilter::InsertMany(std::span<const HashedKey> keys) {
     const size_t n = std::min(kTile, keys.size() - base);
     for (size_t j = 0; j < n; ++j) {
       Fingerprint(keys[base + j], &fq[j], &fr[j]);
-      table_.PrefetchSlot(fq[j], /*for_write=*/true);
+      table_.Prefetch(fq[j], /*for_write=*/true);
     }
     for (size_t j = 0; j < n; ++j) {
-      // Same per-key admission checks as Insert.
-      if (table_.LoadFactor() >= kMaxLoadFactor ||
-          table_.num_used_slots() + 1 >= table_.num_slots()) {
-        continue;
-      }
-      if (InsertFingerprint(fq[j], fr[j])) {
+      // Same per-key admission check as Insert.
+      if (HasRoom(table_) && InsertFingerprint(fq[j], fr[j])) {
         ++num_keys_;
         ++inserted;
       }
@@ -169,15 +168,11 @@ uint64_t QuotientFilter::Count(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return 0;
   uint64_t count = 0;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
-    const uint64_t rem = table_.remainder(s);
-    if (rem == fr) ++count;
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+  table_.ScanRun(fq, [&](uint64_t rem) {
+    count += rem == fr;
+    return true;
+  });
   return count;
 }
 
@@ -185,74 +180,31 @@ bool QuotientFilter::Erase(HashedKey key) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  uint64_t s = start;
-  bool found = false;
-  do {
-    const uint64_t rem = table_.remainder(s);
-    if (rem == fr) {
-      found = true;
-      break;
+  if (!table_.Occupied(fq)) return false;
+  const uint64_t end = table_.RunEnd(fq);
+  for (uint64_t pos = table_.RunStart(fq); pos <= end; ++pos) {
+    if (table_.Get(pos) == fr) {
+      table_.RemoveAt(fq, pos);
+      --num_keys_;
+      return true;
     }
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (!found) return false;
-
-  table_.RemoveEntry(s, start, fq);
-  --num_keys_;
-  return true;
-}
-
-namespace {
-
-// Shared payload shape of the plain and counting quotient filters: seed,
-// key count, full table state. The table loads into a local and is only
-// committed on success, so a corrupt payload cannot leave a half-written
-// filter behind.
-void SaveQfPayload(std::ostream& os, uint64_t hash_seed, uint64_t num_keys,
-                   const QuotientTable& table) {
-  WriteU64(os, hash_seed);
-  WriteU64(os, num_keys);
-  table.Save(os);
-}
-
-bool LoadQfPayload(std::istream& is, uint64_t* hash_seed, uint64_t* num_keys,
-                   QuotientTable* table, bool want_tag, int want_value_bits) {
-  uint64_t seed;
-  uint64_t n;
-  QuotientTable fresh;
-  if (!ReadU64(is, &seed) || !ReadU64(is, &n) || !fresh.Load(is)) {
-    return false;
   }
-  // The table must match this variant's geometry (the counting variant
-  // needs the tag plane; the plain one must not carry values).
-  if (fresh.value_bits() != want_value_bits || fresh.has_tag() != want_tag) {
-    return false;
-  }
-  *hash_seed = seed;
-  *num_keys = n;
-  *table = std::move(fresh);
-  return true;
+  return false;
 }
-
-}  // namespace
 
 bool QuotientFilter::SavePayload(std::ostream& os) const {
-  SaveQfPayload(os, hash_seed_, num_keys_, table_);
+  SaveQfPayload(os, r_bits_, hash_seed_, num_keys_, table_);
   return os.good();
 }
 
 bool QuotientFilter::LoadPayload(std::istream& is) {
-  return LoadQfPayload(is, &hash_seed_, &num_keys_, &table_,
-                       /*want_tag=*/false, /*want_value_bits=*/0);
+  return LoadQfPayload(is, /*extra_bits=*/0, &r_bits_, &hash_seed_,
+                       &num_keys_, &table_);
 }
 
 void QuotientFilter::ForEachFingerprint(
     const std::function<void(uint64_t, uint64_t)>& fn) const {
-  table_.ForEachSlot(
-      [&](uint64_t q, uint64_t slot) { fn(q, table_.remainder(slot)); });
+  table_.ForEachValue(fn);
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +213,9 @@ void QuotientFilter::ForEachFingerprint(
 
 CountingQuotientFilter::CountingQuotientFilter(int q_bits, int r_bits,
                                                uint64_t hash_seed)
-    : table_(q_bits, r_bits, /*has_tag=*/true), hash_seed_(hash_seed) {}
+    : table_(q_bits, r_bits + 1),  // +1 for the digit flag.
+      r_bits_(r_bits),
+      hash_seed_(hash_seed) {}
 
 CountingQuotientFilter CountingQuotientFilter::ForCapacity(uint64_t n,
                                                            double fpr) {
@@ -274,113 +228,70 @@ CountingQuotientFilter CountingQuotientFilter::ForCapacity(uint64_t n,
 void CountingQuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
                                          uint64_t* fr) const {
   const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
+  *fr = h & LowMask(r_bits_);
 }
 
 bool CountingQuotientFilter::FindRemainderSlot(uint64_t fq, uint64_t fr,
                                                uint64_t* pos,
-                                               uint64_t* run_start) const {
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  *run_start = start;
-  uint64_t s = start;
-  do {
-    if (!table_.tag(s)) {  // Remainder slot (tag slots are counter digits).
-      const uint64_t rem = table_.remainder(s);
-      if (rem == fr) {
-        *pos = s;
-        return true;
-      }
-      if (rem > fr) return false;
+                                               uint64_t* end) const {
+  if (!table_.Occupied(fq)) return false;
+  *end = table_.RunEnd(fq);
+  // A remainder slot holds fr << 1; digit slots carry the low flag bit.
+  for (uint64_t s = table_.RunStart(fq); s <= *end; ++s) {
+    if (table_.Get(s) == fr << 1) {
+      *pos = s;
+      return true;
     }
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+  }
   return false;
 }
 
 uint64_t CountingQuotientFilter::ReadCount(
-    uint64_t pos, std::vector<uint64_t>* digits) const {
+    uint64_t pos, uint64_t end, std::vector<uint64_t>* digits) const {
   // Little-endian base-2^r digits of (count - 1) follow the remainder slot.
   uint64_t count = 1;
   uint64_t base = 1;
-  uint64_t s = table_.Next(pos);
-  while (table_.continuation(s) && table_.tag(s)) {
+  for (uint64_t s = pos + 1; s <= end && (table_.Get(s) & 1) != 0; ++s) {
     if (digits != nullptr) digits->push_back(s);
-    count += table_.remainder(s) * base;
-    base <<= table_.r_bits();
-    s = table_.Next(s);
+    count += (table_.Get(s) >> 1) * base;
+    base <<= r_bits_;
   }
   return count;
 }
 
 bool CountingQuotientFilter::Insert(HashedKey key) {
-  if (table_.LoadFactor() >= QuotientFilter::kMaxLoadFactor ||
-      table_.num_used_slots() + 1 >= table_.num_slots()) {
-    return false;
-  }
+  if (!HasRoom(table_)) return false;
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
 
   uint64_t pos;
-  uint64_t run_start;
-  if (FindRemainderSlot(fq, fr, &pos, &run_start)) {
-    // Existing key: bump the variable-length counter.
-    std::vector<uint64_t> digits;
-    const uint64_t count = ReadCount(pos, &digits);
-    uint64_t c = count;  // New count - 1 == old count.
-    const uint64_t mask = LowMask(table_.r_bits());
-    for (uint64_t d : digits) {
-      table_.set_remainder(d, c & mask);
-      c >>= table_.r_bits();
-    }
-    if (c > 0) {
-      // Counter grew a digit: append the new most-significant digit after
-      // the last existing digit (or right after the remainder slot).
-      const uint64_t after = digits.empty() ? pos : digits.back();
-      table_.InsertSlotAt(table_.Next(after), fq, c & mask,
-                          /*continuation=*/true, /*tag=*/true);
-    }
+  uint64_t end;
+  if (!FindRemainderSlot(fq, fr, &pos, &end)) {
+    // New key: a remainder slot at the end of its run.
+    if (!table_.InsertValue(fq, fr << 1, /*sorted=*/false)) return false;
     ++num_keys_;
     return true;
   }
-
-  // New key: insert a remainder slot at its sorted position in the run.
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false);
-    table_.set_occupied(fq, true);
-    ++num_keys_;
-    return true;
+  // Existing key: bump the variable-length counter.
+  std::vector<uint64_t> digits;
+  uint64_t c = ReadCount(pos, end, &digits);  // New count - 1 == old count.
+  const uint64_t mask = LowMask(r_bits_);
+  for (uint64_t d : digits) {
+    table_.Set(d, ((c & mask) << 1) | 1);
+    c >>= r_bits_;
   }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-    ++num_keys_;
-    return true;
-  }
-  // Find the first remainder slot with rem > fr; insert before it (i.e.,
-  // after the previous remainder's digit block).
-  uint64_t s = start;
-  uint64_t insert_at = start;
-  bool placed = false;
-  do {
-    if (!table_.tag(s) && table_.remainder(s) > fr) {
-      insert_at = s;
-      placed = true;
-      break;
+  if (c > 0) {
+    // Counter grew a digit: the new most-significant digit goes after the
+    // last existing digit (or right after the remainder slot).
+    const uint64_t after = digits.empty() ? pos : digits.back();
+    if (!table_.InsertAt(fq, after + 1, ((c & mask) << 1) | 1)) {
+      // Slack exhausted. A carry out of the top digit means every digit
+      // was 2^r - 1: restore them so the count stays exact.
+      for (uint64_t d : digits) table_.Set(d, (mask << 1) | 1);
+      return false;
     }
-    s = table_.Next(s);
-    insert_at = s;
-  } while (table_.continuation(s));
-  if (placed && insert_at == start) {
-    // New minimum remainder: old head becomes a continuation.
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false);
-  } else {
-    table_.InsertSlotAt(insert_at, fq, fr, /*continuation=*/true);
   }
   ++num_keys_;
   return true;
@@ -391,14 +302,9 @@ uint64_t CountingQuotientFilter::Count(HashedKey key) const {
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
   uint64_t pos;
-  uint64_t run_start;
-  if (!FindRemainderSlot(fq, fr, &pos, &run_start)) return 0;
-  return ReadCount(pos, nullptr);
-}
-
-void CountingQuotientFilter::RemoveEntrySlot(uint64_t pos, uint64_t run_start,
-                                             uint64_t fq) {
-  table_.RemoveEntry(pos, run_start, fq);
+  uint64_t end;
+  if (!FindRemainderSlot(fq, fr, &pos, &end)) return 0;
+  return ReadCount(pos, end, nullptr);
 }
 
 bool CountingQuotientFilter::Erase(HashedKey key) {
@@ -406,29 +312,26 @@ bool CountingQuotientFilter::Erase(HashedKey key) {
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
   uint64_t pos;
-  uint64_t run_start;
-  if (!FindRemainderSlot(fq, fr, &pos, &run_start)) return false;
+  uint64_t end;
+  if (!FindRemainderSlot(fq, fr, &pos, &end)) return false;
   std::vector<uint64_t> digits;
-  const uint64_t count = ReadCount(pos, &digits);
+  const uint64_t count = ReadCount(pos, end, &digits);
   if (count == 1) {
     // Remove the remainder slot itself (it has no digit slots).
-    RemoveEntrySlot(pos, run_start, fq);
+    table_.RemoveAt(fq, pos);
   } else {
-    // Rewrite digits for count - 2 == (count - 1) - 1; drop the last digit
-    // slot if the encoding shrank.
+    // Rewrite digits for count - 2 == (count - 1) - 1; drop the top digit
+    // slots the shorter encoding no longer needs.
     uint64_t c = count - 2;
-    const uint64_t mask = LowMask(table_.r_bits());
-    const int r = table_.r_bits();
-    // Number of digits needed for value c (0 -> none).
+    const uint64_t mask = LowMask(r_bits_);
     size_t needed = 0;
-    for (uint64_t v = c; v > 0; v >>= r) ++needed;
+    for (uint64_t v = c; v > 0; v >>= r_bits_) ++needed;
     for (size_t i = 0; i < needed; ++i) {
-      table_.set_remainder(digits[i], c & mask);
-      c >>= r;
+      table_.Set(digits[i], ((c & mask) << 1) | 1);
+      c >>= r_bits_;
     }
     for (size_t i = digits.size(); i > needed; --i) {
-      // Digit slots are never run heads; plain removal suffices.
-      table_.RemoveSlotAt(digits[i - 1], fq);
+      table_.RemoveAt(fq, digits[i - 1]);
     }
   }
   --num_keys_;
@@ -436,13 +339,13 @@ bool CountingQuotientFilter::Erase(HashedKey key) {
 }
 
 bool CountingQuotientFilter::SavePayload(std::ostream& os) const {
-  SaveQfPayload(os, hash_seed_, num_keys_, table_);
+  SaveQfPayload(os, r_bits_, hash_seed_, num_keys_, table_);
   return os.good();
 }
 
 bool CountingQuotientFilter::LoadPayload(std::istream& is) {
-  return LoadQfPayload(is, &hash_seed_, &num_keys_, &table_,
-                       /*want_tag=*/true, /*want_value_bits=*/0);
+  return LoadQfPayload(is, /*extra_bits=*/1, &r_bits_, &hash_seed_,
+                       &num_keys_, &table_);
 }
 
 }  // namespace bbf

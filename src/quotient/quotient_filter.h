@@ -6,15 +6,15 @@
 #include <vector>
 
 #include "core/filter.h"
-#include "quotient/quotient_table.h"
+#include "quotient/rsqf.h"
 
 namespace bbf {
 
 /// Quotient filter [Bender et al. 2012] (§2.1): a p-bit fingerprint is
 /// split into a q-bit quotient (the slot index, stored implicitly) and an
-/// r-bit remainder (stored explicitly); Robin-Hood hashing keeps runs of
-/// same-quotient remainders sorted and contiguous. Uses the original
-/// 3-metadata-bit scheme, i.e. n lg(1/eps) + 3n bits at full load.
+/// r-bit remainder (stored explicitly); runs of same-quotient remainders
+/// stay contiguous, shifted right as needed. The slots live in the
+/// rank-and-select RsqfTable, i.e. n lg(1/eps) + 2.25n bits at full load.
 ///
 /// Fully dynamic: inserts, deletes, and multiset semantics (duplicate
 /// inserts are stored as duplicate remainders; Count reports them).
@@ -36,8 +36,8 @@ class QuotientFilter : public Filter {
 
   bool Insert(HashedKey key) override;
   bool Contains(HashedKey key) const override;
-  /// Batch paths: fingerprint a tile of keys, prefetch each home slot's
-  /// metadata/remainder words, then walk the runs.
+  /// Batch paths: fingerprint a tile of keys, prefetch each quotient's
+  /// metadata, offset and remainder words, then walk the runs.
   void ContainsMany(std::span<const HashedKey> keys,
                     uint8_t* out) const override;
   size_t InsertMany(std::span<const HashedKey> keys) override;
@@ -50,7 +50,7 @@ class QuotientFilter : public Filter {
 
   double LoadFactor() const override { return table_.LoadFactor(); }
   int q_bits() const { return table_.q_bits(); }
-  int r_bits() const { return table_.r_bits(); }
+  int r_bits() const { return r_bits_; }
 
   /// Splits the fingerprint of `key` into (quotient, remainder).
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
@@ -64,34 +64,35 @@ class QuotientFilter : public Filter {
       const std::function<void(uint64_t fq, uint64_t fr)>& fn) const;
 
   /// Read access to the physical table (tests, invariant checks).
-  const QuotientTable& table() const { return table_; }
+  const RsqfTable& table() const { return table_; }
 
   /// Snapshot payload (framed by Filter::Save/Load). A failed load leaves
   /// the filter in its prior state.
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
 
-  static constexpr double kMaxLoadFactor = 0.94;
+  static constexpr double kMaxLoadFactor = RsqfTable::kMaxLoadFactor;
 
  private:
-  friend class CountingQuotientFilter;
   friend class ExpandingQuotientFilter;
 
   // Contains body for a pre-split fingerprint; shared by Contains and
   // ContainsMany.
   bool ContainsFingerprint(uint64_t fq, uint64_t fr) const;
 
-  QuotientTable table_;
+  RsqfTable table_;
+  int r_bits_;
   uint64_t hash_seed_;
   uint64_t num_keys_ = 0;
 };
 
 /// Counting quotient filter (§2.6): multiset counts embedded *inside* the
-/// run as variable-length counters. We mark counter-digit slots with a
-/// fourth metadata bit (tag) instead of the paper's 2.125-bit
-/// rank-and-select encoding — see DESIGN.md §6.1. A key with count c uses
-/// its remainder slot plus ceil(log_{2^r}(c)) digit slots, so hot keys in
-/// a skewed multiset cost O(log c) slots instead of c slots.
+/// run as variable-length counters. Each RsqfTable slot holds r+1 bits,
+/// `(x << 1) | is_digit`: a remainder slot is followed by the base-2^r
+/// digits of (count - 1), each flagged as a digit — see DESIGN.md §6.1. A
+/// key with count c uses its remainder slot plus ceil(log_{2^r}(c)) digit
+/// slots, so hot keys in a skewed multiset cost O(log c) slots instead of
+/// c slots.
 class CountingQuotientFilter : public Filter {
  public:
   CountingQuotientFilter(int q_bits, int r_bits, uint64_t hash_seed = 0xBC);
@@ -120,16 +121,17 @@ class CountingQuotientFilter : public Filter {
 
  private:
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
-  // Locates the remainder slot for (fq, fr). Returns false if absent;
-  // otherwise *pos is the slot and *run_start the head of the run.
+  // Locates the remainder slot for (fq, fr) in the run of fq. Returns
+  // false if absent; otherwise *pos is the slot and *end the run end.
   bool FindRemainderSlot(uint64_t fq, uint64_t fr, uint64_t* pos,
-                         uint64_t* run_start) const;
-  // Reads the counter digits after `pos`; returns the count (>= 1) and the
-  // digit slot positions in *digits.
-  uint64_t ReadCount(uint64_t pos, std::vector<uint64_t>* digits) const;
-  void RemoveEntrySlot(uint64_t pos, uint64_t run_start, uint64_t fq);
+                         uint64_t* end) const;
+  // Reads the counter digits in (pos, end]; returns the count (>= 1) and
+  // the digit slot positions in *digits.
+  uint64_t ReadCount(uint64_t pos, uint64_t end,
+                     std::vector<uint64_t>* digits) const;
 
-  QuotientTable table_;
+  RsqfTable table_;
+  int r_bits_;
   uint64_t hash_seed_;
   uint64_t num_keys_ = 0;
 };

@@ -13,7 +13,9 @@ namespace bbf {
 
 QuotientMaplet::QuotientMaplet(int q_bits, int r_bits, int value_bits,
                                uint64_t hash_seed)
-    : table_(q_bits, r_bits, /*has_tag=*/false, value_bits),
+    : table_(q_bits, r_bits + value_bits),
+      r_bits_(r_bits),
+      value_bits_(value_bits),
       hash_seed_(hash_seed) {}
 
 QuotientMaplet QuotientMaplet::ForCapacity(uint64_t n, double fpr,
@@ -29,8 +31,8 @@ QuotientMaplet QuotientMaplet::ForCapacity(uint64_t n, double fpr,
 void QuotientMaplet::Fingerprint(HashedKey key, uint64_t* fq,
                                  uint64_t* fr) const {
   const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> table_.r_bits()) & (table_.num_slots() - 1);
-  *fr = h & LowMask(table_.r_bits());
+  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
+  *fr = h & LowMask(r_bits_);
 }
 
 bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
@@ -43,44 +45,18 @@ bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
 
 bool QuotientMaplet::InsertFingerprint(uint64_t fq, uint64_t fr,
                                        uint64_t value) {
-  if (table_.num_used_slots() + 1 >= table_.num_slots()) return false;
-  if (table_.SlotEmpty(fq) && !table_.occupied(fq)) {
-    table_.InsertSlotAt(fq, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-    table_.set_occupied(fq, true);
-    ++num_entries_;
-    return true;
-  }
-  const bool was_occupied = table_.occupied(fq);
-  table_.set_occupied(fq, true);
-  const uint64_t start = table_.FindRunStart(fq);
-  if (!was_occupied) {
-    table_.InsertSlotAt(start, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-    ++num_entries_;
-    return true;
-  }
-  uint64_t s = start;
-  do {
-    if (table_.remainder(s) >= fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (s == start) {
-    table_.set_continuation(start, true);
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/false, /*tag=*/false,
-                        value);
-  } else {
-    table_.InsertSlotAt(s, fq, fr, /*continuation=*/true, /*tag=*/false,
-                        value);
-  }
+  if (table_.num_used_slots() + 1 >= table_.num_quotients()) return false;
+  const uint64_t slot = (fr << value_bits_) | (value & LowMask(value_bits_));
+  if (!table_.InsertValue(fq, slot, /*sorted=*/false)) return false;
   ++num_entries_;
   return true;
 }
 
 void QuotientMaplet::ForEachEntry(
     const std::function<void(uint64_t, uint64_t, uint64_t)>& fn) const {
-  table_.ForEachSlot([&](uint64_t q, uint64_t slot) {
-    fn(q, table_.remainder(slot), table_.value(slot));
+  const uint64_t mask = LowMask(value_bits_);
+  table_.ForEachValue([&](uint64_t q, uint64_t slot) {
+    fn(q, slot >> value_bits_, slot & mask);
   });
 }
 
@@ -89,14 +65,11 @@ std::vector<uint64_t> QuotientMaplet::Lookup(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return values;
-  uint64_t s = table_.FindRunStart(fq);
-  do {
-    const uint64_t rem = table_.remainder(s);
-    if (rem == fr) values.push_back(table_.value(s));
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
+  const uint64_t mask = LowMask(value_bits_);
+  table_.ScanRun(fq, [&](uint64_t slot) {
+    if (slot >> value_bits_ == fr) values.push_back(slot & mask);
+    return true;
+  });
   return values;
 }
 
@@ -104,42 +77,47 @@ bool QuotientMaplet::Erase(HashedKey key, uint64_t value) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!table_.occupied(fq)) return false;
-  const uint64_t start = table_.FindRunStart(fq);
-  uint64_t s = start;
-  bool found = false;
-  do {
-    const uint64_t rem = table_.remainder(s);
-    if (rem == fr && table_.value(s) == value) {
-      found = true;
-      break;
+  if (!table_.Occupied(fq)) return false;
+  const uint64_t want = (fr << value_bits_) | (value & LowMask(value_bits_));
+  const uint64_t end = table_.RunEnd(fq);
+  for (uint64_t pos = table_.RunStart(fq); pos <= end; ++pos) {
+    if (table_.Get(pos) == want) {
+      table_.RemoveAt(fq, pos);
+      --num_entries_;
+      return true;
     }
-    if (rem > fr) break;
-    s = table_.Next(s);
-  } while (table_.continuation(s));
-  if (!found) return false;
-
-  table_.RemoveEntry(s, start, fq);
-  --num_entries_;
-  return true;
+  }
+  return false;
 }
 
 bool QuotientMaplet::SavePayload(std::ostream& os) const {
+  WriteU64(os, RsqfTable::kLayoutMarker);
+  WriteI32(os, table_.q_bits());
+  WriteI32(os, r_bits_);
+  WriteI32(os, value_bits_);
   WriteU64(os, hash_seed_);
   WriteU64(os, num_entries_);
-  table_.Save(os);
+  table_.SaveBody(os);
   return os.good();
 }
 
 bool QuotientMaplet::LoadPayload(std::istream& is) {
+  uint64_t marker;
+  int32_t q;
+  int32_t r;
+  int32_t v;
   uint64_t seed;
   uint64_t n;
-  if (!ReadU64(is, &seed) || !ReadU64(is, &n)) return false;
-  QuotientTable table;
-  // A maplet table always carries values, never run-compaction tags.
-  if (!table.Load(is) || table.value_bits() == 0 || table.has_tag()) {
+  if (!ReadU64(is, &marker) || marker != RsqfTable::kLayoutMarker ||
+      !ReadI32(is, &q) || q < 1 || q > 38 || !ReadI32(is, &r) || r < 1 ||
+      !ReadI32(is, &v) || v < 1 || r > 64 - v || !ReadU64(is, &seed) ||
+      !ReadU64(is, &n)) {
     return false;
   }
+  RsqfTable table(1, 1);
+  if (!RsqfTable::LoadBody(is, q, r + v, &table)) return false;
+  r_bits_ = r;
+  value_bits_ = v;
   hash_seed_ = seed;
   num_entries_ = n;
   table_ = std::move(table);

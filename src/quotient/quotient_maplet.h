@@ -6,16 +6,17 @@
 #include <vector>
 
 #include "core/key.h"
-#include "quotient/quotient_table.h"
+#include "quotient/rsqf.h"
 
 namespace bbf {
 
-/// Quotient-filter maplet (§2.4): each slot stores a small value alongside
-/// the remainder. A positive lookup returns the target key's value plus,
-/// with probability epsilon per colliding fingerprint, a few arbitrary
-/// extras (expected positive result size 1 + eps); a negative lookup
-/// returns eps extras in expectation. The application disambiguates — the
-/// SplinterDB/Chucky/Mantis pattern.
+/// Quotient-filter maplet (§2.4): each RsqfTable slot stores a small value
+/// alongside the remainder, packed as `(remainder << v) | value`. A
+/// positive lookup returns the target key's value plus, with probability
+/// epsilon per colliding fingerprint, a few arbitrary extras (expected
+/// positive result size 1 + eps); a negative lookup returns eps extras in
+/// expectation. The application disambiguates — the SplinterDB/Chucky/
+/// Mantis pattern.
 ///
 /// Multiple inserts of the same key accumulate multiple values (Mantis
 /// maps each k-mer to a *collection* of experiments this way).
@@ -60,7 +61,9 @@ class QuotientMaplet {
   size_t SpaceBits() const { return table_.SpaceBits(); }
   uint64_t NumEntries() const { return num_entries_; }
   double LoadFactor() const { return table_.LoadFactor(); }
-  int value_bits() const { return table_.value_bits(); }
+  int q_bits() const { return table_.q_bits(); }
+  int r_bits() const { return r_bits_; }
+  int value_bits() const { return value_bits_; }
 
   /// Raw snapshot payload (framing is the caller's job; the Maplet
   /// adapters wrap these in checksummed frames).
@@ -72,7 +75,9 @@ class QuotientMaplet {
 
   void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
 
-  QuotientTable table_;
+  RsqfTable table_;
+  int r_bits_;
+  int value_bits_;
   uint64_t hash_seed_;
   uint64_t num_entries_ = 0;
 };

@@ -12,7 +12,8 @@
 namespace bbf {
 
 RsqfTable::RsqfTable(int q_bits, int value_bits)
-    : value_bits_(value_bits),
+    : q_bits_(q_bits),
+      value_bits_(value_bits),
       num_quotients_(uint64_t{1} << q_bits),
       total_slots_((uint64_t{1} << q_bits) + 2 * kBlockSlots),
       occupieds_(total_slots_),
@@ -24,34 +25,58 @@ uint64_t RsqfTable::SelectRunendAfter(uint64_t from, uint64_t k) const {
   // Position of the k-th (1-indexed) runend bit at position >= from.
   uint64_t w = from / 64;
   const uint64_t num_words = runends_.NumWords();
-  uint64_t word = w < num_words
-                      ? runends_.Word(w) & ~LowMask(static_cast<int>(from % 64))
-                      : 0;
-  while (w < num_words) {
-    const uint64_t count = Popcount(word);
+  if (w >= num_words) return kNone;
+  // Fast path: the runend lies in the word holding `from` — the common
+  // case at any load below the clustering knee.
+  uint64_t word = runends_.Word(w) >> (from % 64);
+  if (k == 1 && word != 0) return from + CountTrailingZeros(word);
+  uint64_t count = Popcount(word);
+  if (count >= k) return from + SelectInWord(word, static_cast<int>(k - 1));
+  k -= count;
+  while (++w < num_words) {
+    word = runends_.Word(w);
+    count = Popcount(word);
     if (count >= k) {
       return w * 64 + SelectInWord(word, static_cast<int>(k - 1));
     }
     k -= count;
-    ++w;
-    if (w < num_words) word = runends_.Word(w);
   }
   return kNone;
 }
 
 uint64_t RsqfTable::RunEndUpTo(uint64_t q) const {
   const uint64_t b = q / kBlockSlots;
-  const int i = static_cast<int>(q % kBlockSlots);
-  const uint64_t occ_word = occupieds_.Word(b);
-  const uint64_t d = Popcount(occ_word & LowMask(i + 1));
+  const uint64_t i = q % kBlockSlots;
+  const int shift = static_cast<int>(63 - i);
   const uint64_t offset = offsets_[b];
+  // This block's occupieds and runends up to q, q's bit on top.
+  const uint64_t occ = occupieds_.Word(b) << shift;
+  const uint64_t runs = runends_.Word(b) << shift;
+  if (offset == 0 && occ == runs) {
+    // Every run of the block up to q sits alone in its home slot, the
+    // common case at low load: no rank or select needed.
+    return runs == 0 ? kNone : q - CountLeadingZeros(runs);
+  }
+  // Rank of q within its block: occupied quotients in [64b, q], each of
+  // which closes one run at or after the prior runs' spill boundary
+  // 64b + offset. `ends` counts the runends in [64b + offset, q]; it only
+  // matters when that boundary lies at or before q.
+  const uint64_t d = Popcount(occ);
+  const uint64_t window = runs & ~LowMask(static_cast<int>(offset) + shift);
+  const uint64_t ends = Popcount(window);
   if (d == 0) {
     if (offset == 0) return kNone;  // Every earlier run ends before 64b.
     return b * kBlockSlots + offset - 1;  // Last prior run's end.
   }
-  // The d-th runend at or after the prior runs' spill boundary belongs to
-  // the d-th occupied quotient of this block.
-  return SelectRunendAfter(b * kBlockSlots + offset, d);
+  if (offset > i) {  // Prior runs spill past q itself.
+    return SelectRunendAfter(b * kBlockSlots + offset, d);
+  }
+  if (ends == d) return q - CountLeadingZeros(window);  // The last of them.
+  if (ends > d) {
+    return b * kBlockSlots + offset +
+           SelectInWord(runends_.Word(b) >> offset, static_cast<int>(d - 1));
+  }
+  return SelectRunendAfter(q + 1, d - ends);  // The run reaches past q.
 }
 
 uint64_t RsqfTable::RunStart(uint64_t q) const {
@@ -62,18 +87,34 @@ uint64_t RsqfTable::RunStart(uint64_t q) const {
   return (prev == kNone || prev < q) ? q : prev + 1;
 }
 
+inline uint64_t RsqfTable::NextOccupied(uint64_t from, uint64_t to) const {
+  if (from > to) return kNone;
+  uint64_t w = from / 64;
+  uint64_t word = occupieds_.Word(w) & ~LowMask(static_cast<int>(from % 64));
+  while (word == 0) {
+    if (++w > to / 64) return kNone;
+    word = occupieds_.Word(w);
+  }
+  const uint64_t q = w * 64 + CountTrailingZeros(word);
+  return q <= to ? q : kNone;
+}
+
 bool RsqfTable::ContainsValue(uint64_t q, uint64_t value,
                               uint64_t* probed) const {
   if (!occupieds_.Get(q)) {
     if (probed != nullptr) *probed = 0;
     return false;
   }
+  // The home slot's payload is read before the run end is known: most
+  // runs end at home, and the load then overlaps the rank/select loads
+  // instead of following them.
+  const uint64_t home = values_.Get(q);
   uint64_t pos = RunEndUpTo(q);
   uint64_t scanned = 0;
   bool hit = false;
   while (true) {
     ++scanned;
-    if (values_.Get(pos) == value) {
+    if ((pos == q ? home : values_.Get(pos)) == value) {
       hit = true;
       break;
     }
@@ -86,56 +127,99 @@ bool RsqfTable::ContainsValue(uint64_t q, uint64_t value,
 }
 
 bool RsqfTable::InsertValue(uint64_t q, uint64_t value, bool sorted) {
-  const bool was_occupied = occupieds_.Get(q);
-
+  // Most inserts write at or just past the home slot: request its payload
+  // line now so the miss overlaps the rank/select loads.
+  values_.Prefetch(q, 1, /*for_write=*/true);
   const uint64_t e = RunEndUpTo(q);
-  uint64_t p = (e == kNone || e < q) ? q : e + 1;
-  bool mid_run = false;
-  if (sorted && was_occupied) {
+  if (!occupieds_.Get(q)) {
+    return ShiftInsert(q, (e == kNone || e < q) ? q : e + 1, value, kNone);
+  }
+  uint64_t p = e + 1;
+  if (sorted) {
     // Splice position: the first run slot holding a larger value (equal
     // values append after it, so duplicate inserts stay adjacent).
     for (uint64_t pos = RunStart(q); pos <= e; ++pos) {
       if (values_.Get(pos) > value) {
         p = pos;
-        mid_run = true;
         break;
       }
     }
   }
-  // First unused slot at or after p, jumping run by run.
-  uint64_t u = p;
-  while (true) {
-    const uint64_t ru = RunEndUpTo(u);
-    if (ru == kNone || ru < u) break;
-    u = ru + 1;
-    if (u + 1 >= total_slots_) return false;  // Slack exhausted.
+  return ShiftInsert(q, p, value, e);
+}
+
+bool RsqfTable::InsertAt(uint64_t q, uint64_t pos, uint64_t value) {
+  return ShiftInsert(q, pos, value, occupieds_.Get(q) ? RunEndUpTo(q) : kNone);
+}
+
+bool RsqfTable::ShiftInsert(uint64_t q, uint64_t p, uint64_t value,
+                            uint64_t end) {
+  // First unused slot u at or after p. The slots before u are used up to
+  // the end of q's run (or, for a new run, up to p); after that, a slot is
+  // used exactly when the next occupied quotient's run has been pushed
+  // onto it, so walk the cluster run by run with bit scans, no rank.
+  uint64_t u = end == kNone ? p : end + 1;
+  for (uint64_t next = q; (next = NextOccupied(next + 1, u)) != kNone;) {
+    u = SelectRunendAfter(u, 1) + 1;
   }
+  // Slack exhausted: the last slot stays free, so every run ends before it.
+  if (u + 1 >= total_slots_) return false;
   // Shift values and runend bits in [p, u) one slot right.
   for (uint64_t j = u; j > p; --j) {
     values_.Set(j, values_.Get(j - 1));
     runends_.Assign(j, runends_.Get(j - 1));
   }
   values_.Set(p, value);
-  if (!was_occupied) {
+  if (end == kNone) {
     occupieds_.Set(q);
     runends_.Set(p);
-  } else if (!mid_run) {
-    // Append to the existing run: its old end (p - 1) is an end no more.
-    runends_.Clear(p - 1);
+  } else if (p == end + 1) {
+    // Append to the existing run: its old end is an end no more.
+    runends_.Clear(end);
     runends_.Set(p);
   } else {
-    // Mid-run splice: the shift carried the run's end bit (at e) to e+1
-    // on its own. The spliced slot is interior — clear the stale copy the
+    // Mid-run splice: the shift carried the run's end bit one right on
+    // its own. The spliced slot is interior — clear the stale copy the
     // shift left behind when p was the run end itself.
     runends_.Clear(p);
   }
+  ++used_slots_;
   // Offsets of block boundaries in (q, u+1] may have changed: the
   // inserted/extended run can spill across them and the shift moved every
   // runend in [p, u) one right. Boundaries at or before q are provably
   // untouched (their controlling runend precedes p), so the recurrence
   // can rebuild the window from the block containing q.
-  RecomputeOffsets(q / kBlockSlots + 1, (u + 1) / kBlockSlots);
+  if ((u + 1) / kBlockSlots > q / kBlockSlots) {
+    RecomputeOffsets(q / kBlockSlots + 1, (u + 1) / kBlockSlots);
+  }
   return true;
+}
+
+void RsqfTable::RemoveAt(uint64_t q, uint64_t pos) {
+  const uint64_t start = RunStart(q);
+  const uint64_t end = RunEndUpTo(q);
+  // The removal pulls every following run of the cluster one slot left,
+  // up to the first run that already sits in its home slot.
+  uint64_t last = end;
+  for (uint64_t next = q;
+       (next = NextOccupied(next + 1, last)) != kNone;) {
+    last = SelectRunendAfter(last + 1, 1);
+  }
+  if (start == end) {
+    occupieds_.Clear(q);  // The run empties; the shift drops its runend.
+  } else if (pos == end) {
+    runends_.Set(end - 1);
+  }
+  for (uint64_t j = pos; j < last; ++j) {
+    values_.Set(j, values_.Get(j + 1));
+    runends_.Assign(j, runends_.Get(j + 1));
+  }
+  values_.Set(last, 0);
+  runends_.Clear(last);
+  --used_slots_;
+  if ((last + 1) / kBlockSlots > q / kBlockSlots) {
+    RecomputeOffsets(q / kBlockSlots + 1, (last + 1) / kBlockSlots);
+  }
 }
 
 void RsqfTable::RecomputeOffsets(uint64_t first_block, uint64_t last_block) {
@@ -162,36 +246,58 @@ void RsqfTable::RecomputeOffsets(uint64_t first_block, uint64_t last_block) {
   }
 }
 
-bool RsqfTable::CheckInvariants() const {
-  // The occupieds/runends bijection: equal cardinality, and the i-th
-  // runend must sit at or after the i-th occupied quotient.
-  if (occupieds_.CountOnes() != runends_.CountOnes()) {
-    std::fprintf(stderr, "rsqf: %llu occupieds vs %llu runends\n",
-                 static_cast<unsigned long long>(occupieds_.CountOnes()),
-                 static_cast<unsigned long long>(runends_.CountOnes()));
-    return false;
-  }
-  uint64_t runend_pos = 0;
-  uint64_t seen = 0;
-  for (uint64_t q = 0; q < num_quotients_; ++q) {
-    if (!occupieds_.Get(q)) continue;
-    ++seen;
-    const uint64_t e = SelectRunendAfter(0, seen);
-    if (e == kNone || e < q) {
-      std::fprintf(stderr, "rsqf: runend %llu of quotient %llu before it\n",
-                   static_cast<unsigned long long>(e),
-                   static_cast<unsigned long long>(q));
-      return false;
+const char* RsqfTable::Rebuild(std::vector<uint16_t>* offsets,
+                               uint64_t* used) const {
+  offsets->assign(total_slots_ / kBlockSlots + 1, 0);
+  *used = 0;
+  uint64_t prev_end = kNone;  // Runend of the last run walked.
+  uint64_t next_block = 1;    // First block boundary not yet filled.
+  // A boundary's offset is how far the last run of the quotients before
+  // it spills past it.
+  auto fill_boundaries_up_to = [&](uint64_t slot) {
+    for (; next_block < offsets->size() && next_block * kBlockSlots <= slot;
+         ++next_block) {
+      const uint64_t boundary = next_block * kBlockSlots;
+      if (prev_end == kNone || prev_end + 1 <= boundary) continue;
+      if (prev_end + 1 - boundary > 0xFFFF) return false;
+      (*offsets)[next_block] = static_cast<uint16_t>(prev_end + 1 - boundary);
     }
-    runend_pos = e;
+    return true;
+  };
+  for (uint64_t w = 0; w < occupieds_.NumWords(); ++w) {
+    for (uint64_t word = occupieds_.Word(w); word != 0; word &= word - 1) {
+      const uint64_t q = w * 64 + CountTrailingZeros(word);
+      if (q >= num_quotients_) return "occupied bit past the last quotient";
+      if (!fill_boundaries_up_to(q)) return "offset overflow";
+      // The i-th runend closes the i-th occupied quotient's run.
+      const uint64_t e =
+          SelectRunendAfter(prev_end == kNone ? 0 : prev_end + 1, 1);
+      if (e == kNone) return "fewer runends than occupied quotients";
+      if (e < q) return "runend before its quotient";
+      *used += e - ((prev_end == kNone || prev_end < q) ? q : prev_end + 1) + 1;
+      prev_end = e;
+    }
   }
-  (void)runend_pos;
-  // Offsets must match a from-scratch recomputation.
-  std::vector<uint16_t> saved = offsets_;
-  const_cast<RsqfTable*>(this)->RecomputeOffsets(1, offsets_.size() - 1);
-  const bool match = saved == offsets_;
-  if (!match) std::fprintf(stderr, "rsqf: stale offsets\n");
-  return match;
+  // Inserts keep the last slot free; a run into it would let the next
+  // append run off the table.
+  if (prev_end != kNone && prev_end + 1 >= total_slots_) {
+    return "run ends in the last slot";
+  }
+  if (!fill_boundaries_up_to(kNone - 1)) return "offset overflow";
+  if (SelectRunendAfter(prev_end == kNone ? 0 : prev_end + 1, 1) != kNone) {
+    return "more runends than occupied quotients";
+  }
+  return nullptr;
+}
+
+bool RsqfTable::CheckInvariants() const {
+  std::vector<uint16_t> offsets;
+  uint64_t used;
+  const char* why = Rebuild(&offsets, &used);
+  if (why == nullptr && offsets != offsets_) why = "stale offsets";
+  if (why == nullptr && used != used_slots_) why = "used-slot count drift";
+  if (why != nullptr) std::fprintf(stderr, "rsqf: %s\n", why);
+  return why == nullptr;
 }
 
 bool RsqfTable::SaveBody(std::ostream& os) const {
@@ -207,33 +313,33 @@ bool RsqfTable::LoadBody(std::istream& is, int q_bits, int value_bits,
   if (q_bits < 1 || q_bits > 38 || value_bits < 1 || value_bits > 64) {
     return false;
   }
-  const uint64_t num_quotients = uint64_t{1} << q_bits;
-  const uint64_t total_slots = num_quotients + 2 * kBlockSlots;
-  BitVector occupieds;
-  BitVector runends;
-  CompactVector values;
-  if (!occupieds.Load(is) || occupieds.size() != total_slots ||
-      !runends.Load(is) || runends.size() != total_slots ||
-      !values.Load(is) || values.size() != total_slots ||
-      values.width() != value_bits) {
+  RsqfTable fresh(1, 1);
+  fresh.q_bits_ = q_bits;
+  fresh.value_bits_ = value_bits;
+  fresh.num_quotients_ = uint64_t{1} << q_bits;
+  fresh.total_slots_ = fresh.num_quotients_ + 2 * kBlockSlots;
+  const uint64_t total_slots = fresh.total_slots_;
+  if (!fresh.occupieds_.Load(is) || fresh.occupieds_.size() != total_slots ||
+      !fresh.runends_.Load(is) || fresh.runends_.size() != total_slots ||
+      !fresh.values_.Load(is) || fresh.values_.size() != total_slots ||
+      fresh.values_.width() != value_bits) {
     return false;
   }
-  std::vector<uint16_t> offsets(total_slots / kBlockSlots + 1);
-  for (size_t b = 0; b < offsets.size(); ++b) {
+  fresh.offsets_.resize(total_slots / kBlockSlots + 1);
+  for (uint16_t& offset : fresh.offsets_) {
     uint64_t v;
     if (!ReadU64Capped(is, &v, 0xFFFF)) return false;
-    // An offset names the absolute slot b*64 + v - 1; a hostile value
-    // pointing past the table would turn later lookups into OOB reads.
-    if (v != 0 && b * kBlockSlots + v - 1 >= total_slots) return false;
-    offsets[b] = static_cast<uint16_t>(v);
+    offset = static_cast<uint16_t>(v);
   }
-  out->value_bits_ = value_bits;
-  out->num_quotients_ = num_quotients;
-  out->total_slots_ = total_slots;
-  out->occupieds_ = std::move(occupieds);
-  out->runends_ = std::move(runends);
-  out->values_ = std::move(values);
-  out->offsets_ = std::move(offsets);
+  // The lookups trust the metadata: a runend missing or placed before its
+  // quotient, or an offset that disagrees with the runends (even one still
+  // in range), would send a later probe outside its run or the table.
+  std::vector<uint16_t> offsets;
+  if (fresh.Rebuild(&offsets, &fresh.used_slots_) != nullptr ||
+      offsets != fresh.offsets_) {
+    return false;
+  }
+  *out = std::move(fresh);
   return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/filter.h"
 #include "util/bit_vector.h"
+#include "util/bits.h"
 #include "util/compact_vector.h"
 
 namespace bbf {
@@ -21,30 +22,62 @@ namespace bbf {
 /// bit. Per-64-slot-block *offsets* make rank/select local, giving the
 /// 2 + 64/|block| ≈ 2.125 metadata bits per slot.
 ///
-/// RsqfTable is the substrate itself, generic over the per-slot payload
-/// width so two families can share it: `Rsqf` stores bare r-bit remainders
-/// (unsorted runs, append at run end), and the Memento range filter
-/// (src/range/memento.h) packs `(remainder << m) | memento` and keeps each
-/// run sorted, so a run doubles as the sorted memento list of its
-/// fingerprint. Runs are kept sorted by the shift-splice variant of the
-/// standard RSQF shift insert; lookups scan one run. The table avoids
-/// wraparound with a small slack region after the last quotient and uses
-/// 16-bit offsets (2 + 0.25 metadata bits/slot) — all documented in
-/// DESIGN.md.
+/// RsqfTable is the library's one quotient slot engine, generic over the
+/// per-slot payload width; every quotient family stores its own encoding
+/// in the payload:
+///   - `Rsqf`, `QuotientFilter`: bare r-bit remainders;
+///   - `CountingQuotientFilter`: (r+1) bits, `(digit << 1) | is_digit`, so
+///     a remainder slot is followed by its counter digits;
+///   - `QuotientMaplet`: `(remainder << v) | value`;
+///   - `TaffyFilter`: unary-delimited variable-length fingerprints;
+///   - `MementoFilter` (src/range/memento.h): `(remainder << m) | memento`,
+///     with each run kept sorted so it doubles as the memento list.
+/// Every insert shifts the rest of the cluster one slot right and every
+/// removal shifts it back left, stopping at runs that sit in their home
+/// slot. The table avoids wraparound with a small slack region after the
+/// last quotient and uses 16-bit offsets (2 + 0.25 metadata bits/slot) —
+/// all documented in DESIGN.md.
 class RsqfTable {
  public:
   RsqfTable(int q_bits, int value_bits);
 
+  int q_bits() const { return q_bits_; }
   uint64_t num_quotients() const { return num_quotients_; }
   uint64_t total_slots() const { return total_slots_; }
+  /// Slots holding a payload (keys plus any per-family extra slots).
+  uint64_t num_used_slots() const { return used_slots_; }
+  /// Used slots per quotient: the load the quotient families admit by.
+  double LoadFactor() const {
+    return static_cast<double>(used_slots_) / num_quotients_;
+  }
   int value_bits() const { return value_bits_; }
   bool Occupied(uint64_t q) const { return occupieds_.Get(q); }
 
-  /// Inserts `value` into the run of quotient `q`, shifting the cluster
-  /// one slot right. With `sorted` the value is spliced at its ordered
-  /// position (runs stay nondecreasing); otherwise it is appended at the
-  /// run end. Returns false when the slack region is exhausted.
+  /// Payload of slot `pos`; rewriting it in place keeps the structure.
+  uint64_t Get(uint64_t pos) const { return values_.Get(pos); }
+  void Set(uint64_t pos, uint64_t value) { values_.Set(pos, value); }
+
+  /// The run of an occupied quotient `q` is the slot range
+  /// [RunStart(q), RunEnd(q)]. For an unoccupied `q`, RunStart is the
+  /// slot a new run would take.
+  uint64_t RunStart(uint64_t q) const;
+  uint64_t RunEnd(uint64_t q) const { return RunEndUpTo(q); }
+
+  /// Inserts `value` into the run of quotient `q`. With `sorted` the
+  /// value is spliced at its ordered position (runs stay nondecreasing);
+  /// otherwise it is appended at the run end. Returns false when the
+  /// slack region is exhausted.
   bool InsertValue(uint64_t q, uint64_t value, bool sorted);
+
+  /// Inserts `value` at slot `pos` of the run of `q`, where `pos` lies in
+  /// [RunStart(q), RunEnd(q) + 1] (just RunStart(q) when `q` is
+  /// unoccupied); the slots from `pos` on shift one right. Returns false
+  /// when the slack region is exhausted.
+  bool InsertAt(uint64_t q, uint64_t pos, uint64_t value);
+
+  /// Removes slot `pos` of the run of occupied quotient `q`, shifting the
+  /// rest of the cluster one slot left; a run that empties frees `q`.
+  void RemoveAt(uint64_t q, uint64_t pos);
 
   /// True when the run of `q` holds `value`, scanning backward from the
   /// run end (the classic RSQF probe). Writes the number of slots scanned
@@ -67,16 +100,29 @@ class RsqfTable {
   }
 
   /// Calls `fn(q, value)` for every stored value in quotient order (and
-  /// storage order within a run) — the resize/rebuild iteration.
+  /// storage order within a run) — the resize/rebuild iteration. One
+  /// linear pass over the runends: no rank or select per run.
   template <typename Fn>
   void ForEachValue(Fn&& fn) const {
-    for (uint64_t q = 0; q < num_quotients_; ++q) {
-      if (!occupieds_.Get(q)) continue;
-      const uint64_t end = RunEndUpTo(q);
-      for (uint64_t pos = RunStart(q); pos <= end; ++pos) {
-        fn(q, values_.Get(pos));
+    uint64_t pos = 0;  // Next unvisited slot.
+    for (uint64_t w = 0; w * 64 < num_quotients_; ++w) {
+      for (uint64_t word = occupieds_.Word(w); word != 0; word &= word - 1) {
+        const uint64_t q = w * 64 + CountTrailingZeros(word);
+        if (pos < q) pos = q;
+        do {
+          fn(q, values_.Get(pos));
+        } while (!runends_.Get(pos++));
       }
     }
+  }
+
+  /// Hints the cache lines a probe of quotient `q` touches first: its
+  /// occupieds and runends words, its block offset and its home payload.
+  void Prefetch(uint64_t q, bool for_write = false) const {
+    occupieds_.PrefetchBit(q, for_write);
+    runends_.PrefetchBit(q, for_write);
+    PrefetchRead(&offsets_[q / kBlockSlots]);
+    values_.Prefetch(q, 1, for_write);
   }
 
   /// 2 metadata bits + `value_bits` per slot, plus 16/64 bits of offset
@@ -86,7 +132,7 @@ class RsqfTable {
   }
 
   /// Structural self-check for the test suite: the occupieds/runends
-  /// bijection and offset freshness.
+  /// bijection, offset freshness and the used-slot count.
   bool CheckInvariants() const;
 
   /// Serializes the four structural members (occupieds, runends, values,
@@ -94,14 +140,19 @@ class RsqfTable {
   /// the layout Rsqf snapshots have always used.
   bool SaveBody(std::ostream& os) const;
   /// Parses a SaveBody stream into `*out`, validating every size against
-  /// the expected geometry before committing. `*out` is untouched on
-  /// failure.
+  /// the expected geometry and the metadata against the bijection (the
+  /// stored offsets must equal a fresh recomputation) before committing.
+  /// `*out` is untouched on failure.
   static bool LoadBody(std::istream& is, int q_bits, int value_bits,
                        RsqfTable* out);
 
   static constexpr double kMaxLoadFactor = 0.94;
   static constexpr uint64_t kBlockSlots = 64;
   static constexpr uint64_t kNone = ~uint64_t{0};
+  /// First word of every family payload whose layout moved onto this
+  /// table ("RSQF1"): a frame written by the retired 3-bit engine fails
+  /// this check and is rejected without being parsed further.
+  static constexpr uint64_t kLayoutMarker = 0x3146515352;
 
  private:
   // Global position of the k-th (1-indexed) runend bit at position >=
@@ -109,24 +160,33 @@ class RsqfTable {
   uint64_t SelectRunendAfter(uint64_t from, uint64_t k) const;
   // Runend of the last occupied quotient <= q, or kNone if none.
   uint64_t RunEndUpTo(uint64_t q) const;
-  // First slot of the run of occupied quotient q.
-  uint64_t RunStart(uint64_t q) const;
+  // First occupied quotient in [from, to], or kNone.
+  uint64_t NextOccupied(uint64_t from, uint64_t to) const;
+  // Shared by InsertValue and InsertAt: `end` is the current end of q's
+  // run (kNone when q is unoccupied).
+  bool ShiftInsert(uint64_t q, uint64_t pos, uint64_t value, uint64_t end);
   void RecomputeOffsets(uint64_t first_block, uint64_t last_block);
+  // Walks every run once, checking the occupieds/runends bijection, and
+  // rebuilds the block offsets and used-slot count from the metadata.
+  // Returns nullptr when consistent, else the first violation.
+  const char* Rebuild(std::vector<uint16_t>* offsets, uint64_t* used) const;
 
+  int q_bits_;
   int value_bits_;
   uint64_t num_quotients_;
   uint64_t total_slots_;  // num_quotients_ + slack (no wraparound).
+  uint64_t used_slots_ = 0;
   BitVector occupieds_;
   BitVector runends_;
   CompactVector values_;
   std::vector<uint16_t> offsets_;  // Per block of 64 quotient slots.
 };
 
-/// Rank-and-Select Quotient Filter: the point-membership family on the
-/// RsqfTable substrate. Keeps runs unsorted (append at run end) and
-/// supports inserts and lookups (membership); deletes live in the 3-bit
-/// QuotientFilter, counting in CountingQuotientFilter, ranges in the
-/// Memento filter.
+/// Rank-and-Select Quotient Filter: the insert-and-lookup family on the
+/// RsqfTable substrate, with its own seed and snapshot format. Keeps runs
+/// unsorted (append at run end); deletes live in QuotientFilter, counting
+/// in CountingQuotientFilter, ranges in the Memento filter — all on the
+/// same table.
 class Rsqf : public Filter {
  public:
   Rsqf(int q_bits, int r_bits, uint64_t hash_seed = 0x45F);

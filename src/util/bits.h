@@ -6,11 +6,25 @@
 
 namespace bbf {
 
-/// Number of set bits in `x`.
-inline int Popcount(uint64_t x) { return std::popcount(x); }
+/// Number of set bits in `x`. Without the POPCNT instruction the compiler
+/// lowers std::popcount to a libgcc call, so the baseline build uses an
+/// inline SWAR count instead (rank/select runs it on every quotient probe).
+inline int Popcount(uint64_t x) {
+#if defined(__POPCNT__) || !(defined(__GNUC__) || defined(__clang__))
+  return std::popcount(x);
+#else
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+#endif
+}
 
 /// Index of the lowest set bit; undefined for x == 0.
 inline int CountTrailingZeros(uint64_t x) { return std::countr_zero(x); }
+
+/// Number of leading zero bits; undefined for x == 0.
+inline int CountLeadingZeros(uint64_t x) { return std::countl_zero(x); }
 
 /// Index of the highest set bit; undefined for x == 0.
 inline int HighestSetBit(uint64_t x) { return 63 - std::countl_zero(x); }
@@ -24,10 +38,25 @@ inline uint64_t LowMask(int n) {
 }
 
 /// Position (0-based, from LSB) of the (k+1)-th set bit of `x`.
-/// Requires k < Popcount(x). Branch-free broadword select.
+/// Requires k < Popcount(x). Broadword select: byte popcounts and their
+/// prefix sums locate the byte holding the bit, then at most seven clears
+/// finish inside that byte.
 inline int SelectInWord(uint64_t x, int k) {
-  for (int i = 0; i < k; ++i) x &= x - 1;  // Clear k lowest set bits.
-  return CountTrailingZeros(x);
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHighs = 0x8080808080808080ULL;
+  uint64_t s = x - ((x >> 1) & 0x5555555555555555ULL);
+  s = (s & 0x3333333333333333ULL) + ((s >> 2) & 0x3333333333333333ULL);
+  s = (s + (s >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  const uint64_t prefix = s * kOnes;  // Byte j: set bits in bytes 0..j.
+  // Bytes whose prefix is <= k all precede the target byte.
+  const uint64_t le =
+      ((static_cast<uint64_t>(k) * kOnes | kHighs) - prefix) & kHighs;
+  const int byte = static_cast<int>(((le >> 7) * kOnes) >> 56);
+  const int shift = byte * 8;
+  k -= static_cast<int>(((prefix << 8) >> shift) & 0xFF);
+  uint64_t y = x >> shift;
+  for (; k > 0; --k) y &= y - 1;  // Clear the byte's k lowest set bits.
+  return shift + CountTrailingZeros(y);
 }
 
 /// Next power of two >= x (returns 1 for x == 0).

@@ -17,10 +17,15 @@
 #include "core/filter_io.h"
 #include "core/key.h"
 #include "core/sharded_filter.h"
+#include "expandable/taffy_filter.h"
 #include "fault_injection.h"
+#include "legacy_frames.h"
+#include "quotient/quotient_filter.h"
+#include "quotient/rsqf.h"
 #include "range/memento.h"
 #include "staticf/ribbon_filter.h"
 #include "staticf/xor_filter.h"
+#include "util/bits.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/serialize.h"
@@ -169,6 +174,113 @@ TEST(FaultInjection, MementoRangeLoaderRejectsCorruptSnapshots) {
   auto reloaded = lsm::LoadRangeFilterSnapshot(is);
   ASSERT_NE(reloaded, nullptr);
   for (uint64_t k : keys) ASSERT_TRUE(reloaded->MayContainRange(k, k)) << k;
+}
+
+// Hostile RsqfTable bodies (DESIGN.md §8 rule 3). The frame checksum is a
+// public fold, so a peer can hand over a well-framed payload whose
+// metadata lies; LoadBody must recompute what the lookups trust. Each
+// case patches one field of a real single-key payload — `header` is the
+// family's bytes before the table body — and must be rejected.
+void ExpectRsqfBodyForgeriesRejected(Filter* f, size_t header) {
+  std::ostringstream ss;
+  ASSERT_TRUE(f->SavePayload(ss));
+  const std::string payload = std::move(ss).str();
+  int32_t q = 0;
+  for (int i = 0; i < 4; ++i) {
+    q |= static_cast<int32_t>(static_cast<uint8_t>(payload[i])) << (8 * i);
+  }
+  const size_t words = ((size_t{1} << q) + 2 * RsqfTable::kBlockSlots) / 64;
+  const size_t occupieds_at = header + 8;
+  const size_t runends_at = occupieds_at + 8 * words + 8;
+  const size_t offsets_at = payload.size() - 8 * (words + 1);
+  auto patch = [](std::string blob, size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      blob[at + i] = static_cast<char>(v >> (8 * i));
+    }
+    return blob;
+  };
+  // The one occupied quotient, which sits alone in its home slot.
+  uint64_t home = 0;
+  for (size_t w = 0; w < words; ++w) {
+    const uint64_t word = ReadLittleU64(payload, occupieds_at + 8 * w);
+    if (word != 0) home = w * 64 + CountTrailingZeros(word);
+  }
+  ASSERT_GT(home, 0u);
+  ASSERT_EQ(ReadLittleU64(payload, runends_at + 8 * (home / 64)),
+            uint64_t{1} << (home % 64));
+  struct Forgery {
+    const char* what;
+    std::string payload;
+  };
+  const uint64_t last_word = words - 1;
+  const Forgery forgeries[] = {
+      {"an extra runend: counts disagree",
+       patch(payload, runends_at + 8 * last_word,
+             ReadLittleU64(payload, runends_at + 8 * last_word) |
+                 (uint64_t{1} << 63))},
+      {"every occupied bit set",
+       [&] {
+         std::string b = payload;
+         for (size_t w = 0; w < words; ++w) {
+           b = patch(b, occupieds_at + 8 * w, ~uint64_t{0});
+         }
+         return b;
+       }()},
+      {"the runend moved before its quotient",
+       patch(patch(payload, runends_at + 8 * (home / 64), 0),
+             runends_at + 8 * ((home - 1) / 64),
+             uint64_t{1} << ((home - 1) % 64))},
+      {"a stale offset that stays in range",
+       patch(payload, offsets_at + 8 * 1, 1)},
+  };
+  const uint64_t keys = f->NumKeys();
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.what);
+    ASSERT_EQ(forgery.payload.size(), payload.size());
+    std::istringstream is(forgery.payload);
+    EXPECT_FALSE(f->LoadPayload(is));
+    EXPECT_EQ(f->NumKeys(), keys);
+  }
+  // The unpatched payload still loads.
+  std::istringstream is(payload);
+  EXPECT_TRUE(f->LoadPayload(is));
+}
+
+TEST(FaultInjection, RsqfLoaderRejectsInconsistentMetadata) {
+  Rsqf f(8, 8);
+  ASSERT_TRUE(f.Insert(uint64_t{42}));
+  ExpectRsqfBodyForgeriesRejected(&f, /*header=*/24);
+  EXPECT_TRUE(f.Contains(uint64_t{42}));
+}
+
+TEST(FaultInjection, MementoLoaderRejectsInconsistentMetadata) {
+  MementoFilter f(8, 8, 8);
+  ASSERT_TRUE(f.AddKey(uint64_t{42} << 20));
+  ExpectRsqfBodyForgeriesRejected(&f, /*header=*/36);
+  EXPECT_TRUE(f.MayContainRange(uint64_t{42} << 20, uint64_t{42} << 20));
+}
+
+// Frames written before the quotient families moved onto RsqfTable carry
+// the same tags over the old slot layout. Their payloads fail the layout
+// marker: Load rejects them and the live filter keeps its keys.
+TEST(FaultInjection, OldLayoutQuotientFramesAreRejected) {
+  QuotientFilter qf(6, 4);
+  TaffyFilter taffy(6, 8);
+  Filter* filters[] = {&qf, &taffy};
+  const std::string frames[] = {legacy::QuotientFrame(),
+                                legacy::TaffyFrame()};
+  for (int i = 0; i < 2; ++i) {
+    Filter* f = filters[i];
+    SCOPED_TRACE(std::string(f->Name()));
+    const std::vector<uint64_t> keys = InsertSome(f, 500 + i, 20);
+    ASSERT_EQ(keys.size(), 20u);
+    std::istringstream is(frames[i]);
+    EXPECT_FALSE(f->Load(is));
+    std::istringstream tagged(frames[i]);
+    EXPECT_EQ(LoadFilterSnapshot(tagged), nullptr);
+    EXPECT_EQ(f->NumKeys(), keys.size());
+    for (uint64_t key : keys) ASSERT_TRUE(f->Contains(key)) << key;
+  }
 }
 
 TEST(FaultInjection, GarbageAndEmptyStreamsAreRejected) {

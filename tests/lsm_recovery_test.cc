@@ -19,6 +19,7 @@
 #include "apps/lsm/lsm_tree.h"
 #include "apps/lsm/manifest.h"
 #include "fault_injection.h"
+#include "legacy_frames.h"
 #include "obs/export.h"
 #include "test_paths.h"
 #include "test_seed.h"
@@ -452,6 +453,39 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// A run whose point-filter file holds a "quotient" frame in the slot
+// layout the quotient families used before RsqfTable (same tag, old
+// payload): recovery must not fail. That run is quarantined and served
+// without a filter, every answer stays right, and the other runs keep
+// their filters.
+TEST(LsmRecovery, OldLayoutQuotientFilterFileIsQuarantined) {
+  const uint64_t seed = TestSeed(0x01D);
+  BBF_ANNOUNCE_SEED(seed);
+  LsmOptions o;
+  o.memtable_entries = 128;
+  o.point_filter = PointFilterKind::kQuotient;
+  o.dir = FreshDir("oldqf");
+  std::vector<uint64_t> keys;
+  {
+    auto db = LsmTree::Open(o);
+    ASSERT_NE(db, nullptr);
+    keys = Populate(db.get(), 600, seed);
+  }
+  const auto pf_files = FilesMatching(o.dir, ".pf");
+  ASSERT_GT(pf_files.size(), 1u);
+  ASSERT_TRUE(fault::WriteFileBytes(pf_files.front(), legacy::QuotientFrame()));
+  auto db = LsmTree::Open(o);
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(db->recovery().filters_quarantined, 1u);
+  EXPECT_EQ(db->QuarantinedRuns(), 1u);
+  for (uint64_t k : keys) {
+    ASSERT_EQ(db->Get(k), std::optional<uint64_t>(ValueOf(k))) << k;
+  }
+  EXPECT_GT(db->io().quarantined_reads, 0u);
+  db.reset();
+  std::filesystem::remove_all(o.dir);
+}
 
 class LsmRangeRecovery : public ::testing::TestWithParam<RangeFilterKind> {};
 

@@ -1,9 +1,12 @@
-// Tests for the quotient-filter family: the 3-metadata-bit quotient filter,
-// the counting variant with in-run variable-length counters, the maplet
-// variant, and bit-sacrifice expansion. The randomized model tests compare
-// every operation against a std::unordered_multiset reference.
+// Tests for the quotient-filter family on the RsqfTable slot engine: the
+// quotient filter, the counting variant with in-run variable-length
+// counters, the maplet variant, and bit-sacrifice expansion. The
+// randomized model tests compare every operation against a
+// std::unordered_multiset reference.
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -146,6 +149,60 @@ TEST(QuotientFilter, TableInvariantsHoldUnderChurn) {
   ASSERT_TRUE(f.table().CheckInvariants());
 }
 
+// RsqfTable has no wraparound: runs of the highest quotients spill into a
+// slack region past the last quotient. Pile keys onto the top quotients
+// until the slack runs out, then drain them again, checking the table
+// invariants after every operation and every answer against a model of
+// the stored fingerprints (the filter is exact on fingerprints).
+TEST(QuotientFilter, TopQuotientRunsSpillIntoSlackAndDrain) {
+  QuotientFilter f(8, 6);
+  const uint64_t top = f.table().num_quotients() - 4;
+  auto fingerprint = [&](uint64_t key) {
+    uint64_t fq;
+    uint64_t fr;
+    f.Fingerprint(HashedKey(key), &fq, &fr);
+    return std::make_pair(fq, fr);
+  };
+  // Keys whose quotient is one of the top four.
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; keys.size() < 400; ++k) {
+    if (fingerprint(k).first >= top) keys.push_back(k);
+  }
+  std::multiset<std::pair<uint64_t, uint64_t>> model;
+  auto check = [&](int op) {
+    ASSERT_TRUE(f.table().CheckInvariants()) << "op " << op;
+    ASSERT_EQ(f.NumKeys(), model.size()) << "op " << op;
+    for (uint64_t k : keys) {
+      const uint64_t want = model.count(fingerprint(k));
+      ASSERT_EQ(f.Contains(k), want > 0) << "op " << op << " key " << k;
+      ASSERT_EQ(f.Count(k), want) << "op " << op << " key " << k;
+    }
+  };
+  std::vector<uint64_t> stored;
+  int op = 0;
+  for (uint64_t k : keys) {
+    if (!f.Insert(k)) break;  // The slack region is exhausted.
+    model.insert(fingerprint(k));
+    stored.push_back(k);
+    check(op++);
+  }
+  ASSERT_LT(stored.size(), keys.size()) << "slack never ran out";
+  EXPECT_GE(f.table().RunEnd(f.table().num_quotients() - 1),
+            f.table().num_quotients());
+  // A refused insert leaves the table as it was.
+  check(op++);
+  SplitMix64 rng(21);
+  while (!stored.empty()) {
+    const size_t i = rng.NextBelow(stored.size());
+    ASSERT_TRUE(f.Erase(stored[i]));
+    model.erase(model.find(fingerprint(stored[i])));
+    stored[i] = stored.back();
+    stored.pop_back();
+    check(op++);
+  }
+  EXPECT_EQ(f.table().num_used_slots(), 0u);
+}
+
 TEST(QuotientFilter, ErasingAbsentKeyMayRemoveCollidingTwin) {
   // The documented deletion caveat of every fingerprint filter: deleting a
   // key that was never inserted can remove a colliding twin's fingerprint.
@@ -175,7 +232,7 @@ TEST(QuotientFilter, NeverCompletelyFills) {
   QuotientFilter f(4, 4);
   uint64_t inserted = 0;
   for (uint64_t k = 0; k < 100; ++k) inserted += f.Insert(k);
-  EXPECT_LT(f.table().num_used_slots(), f.table().num_slots());
+  EXPECT_LT(f.table().num_used_slots(), f.table().num_quotients());
   EXPECT_TRUE(f.table().CheckInvariants());
 }
 

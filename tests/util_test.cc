@@ -32,6 +32,33 @@ TEST(Bits, SelectInWord) {
   EXPECT_EQ(SelectInWord(~uint64_t{0}, 63), 63);
 }
 
+// Popcount and SelectInWord are hand-rolled broadword code on the
+// baseline ISA; pin both against a bit-by-bit reference over words of
+// every density, including the empty and full words.
+TEST(Bits, PopcountAndSelectMatchReferenceLoop) {
+  SplitMix64 rng(0xB175);
+  std::vector<uint64_t> words = {0, 1, uint64_t{1} << 63, ~uint64_t{0},
+                                 0x8000000000000001ULL, 0x00FF00FF00FF00FFULL};
+  for (int i = 0; i < 4000; ++i) {
+    // AND/OR-ing random words spreads densities from sparse to dense.
+    uint64_t w = rng.Next();
+    for (int j = i % 4; j > 0; --j) w &= rng.Next();
+    if (i % 8 >= 4) w = ~w;
+    words.push_back(w);
+  }
+  for (uint64_t w : words) {
+    std::vector<int> set_bits;
+    for (int b = 0; b < 64; ++b) {
+      if ((w >> b) & 1) set_bits.push_back(b);
+    }
+    ASSERT_EQ(Popcount(w), static_cast<int>(set_bits.size())) << w;
+    for (size_t k = 0; k < set_bits.size(); ++k) {
+      ASSERT_EQ(SelectInWord(w, static_cast<int>(k)), set_bits[k])
+          << "word " << w << " k " << k;
+    }
+  }
+}
+
 TEST(Bits, PowersOfTwo) {
   EXPECT_EQ(NextPow2(0), 1u);
   EXPECT_EQ(NextPow2(1), 1u);
