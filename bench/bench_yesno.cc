@@ -5,6 +5,7 @@
 // blocked; adaptive filters solve both the static and dynamic cases;
 // stacked filters exponentially cut the FPR of known hot negatives.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -1,10 +1,8 @@
 #include "quotient/expanding_quotient_filter.h"
 
 #include <utility>
-#include <vector>
 
 #include "core/metrics_sink.h"
-#include "util/bits.h"
 #include "util/serialize.h"
 
 namespace bbf {
@@ -15,31 +13,10 @@ ExpandingQuotientFilter::ExpandingQuotientFilter(int q_bits, int r_bits,
 
 bool ExpandingQuotientFilter::Insert(HashedKey key) {
   if (filter_.Insert(key)) return true;
-  if (!Expand()) return false;
-  return filter_.Insert(key);
-}
-
-bool ExpandingQuotientFilter::Erase(HashedKey key) {
-  return filter_.Erase(key);
-}
-
-bool ExpandingQuotientFilter::Expand() {
-  const int r = filter_.r_bits();
-  if (r <= 1) return false;  // Fingerprint bits are exhausted (§2.2).
-  QuotientFilter bigger(filter_.q_bits() + 1, r - 1, hash_seed_);
-  // The same key hash yields (fq', fr') = ((fq << 1) | msb(fr), fr without
-  // its msb) under the grown geometry, so stored fingerprints can be
-  // remapped without the original keys.
-  filter_.ForEachFingerprint([&](uint64_t fq, uint64_t fr) {
-    const uint64_t new_fq = (fq << 1) | (fr >> (r - 1));
-    const uint64_t new_fr = fr & LowMask(r - 1);
-    bigger.InsertFingerprint(new_fq, new_fr);
-  });
-  bigger.num_keys_ = filter_.num_keys_;
-  filter_ = std::move(bigger);
+  if (!filter_.Expand()) return false;  // Remainder bits exhausted (§2.2).
   ++expansions_;
   if (sink_ != nullptr) sink_->OnExpansion();
-  return true;
+  return filter_.Insert(key);
 }
 
 bool ExpandingQuotientFilter::SavePayload(std::ostream& os) const {

@@ -1,7 +1,6 @@
 #include "quotient/quotient_filter.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/metrics_sink.h"
 #include "util/bits.h"
@@ -10,16 +9,6 @@
 
 namespace bbf {
 namespace {
-
-// Shared by QF and CQF: sizing from capacity and target FPR.
-void SizeFor(uint64_t n, double fpr, int* q_bits, int* r_bits) {
-  uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(n / QuotientFilter::kMaxLoadFactor)));
-  *q_bits = std::max(6, BitWidth(slots - 1));
-  // FPR ~ load * 2^-r; solve r for the target at max load.
-  const double needed = -std::log2(fpr / QuotientFilter::kMaxLoadFactor);
-  *r_bits = std::max(1, static_cast<int>(std::ceil(needed)));
-}
 
 // Shared admission rule of the plain and counting quotient filters: below
 // the maximum load, and never a full quotient's worth of slots.
@@ -73,17 +62,14 @@ QuotientFilter::QuotientFilter(int q_bits, int r_bits, uint64_t hash_seed)
     : table_(q_bits, r_bits), r_bits_(r_bits), hash_seed_(hash_seed) {}
 
 QuotientFilter QuotientFilter::ForCapacity(uint64_t n, double fpr) {
-  int q_bits;
-  int r_bits;
-  SizeFor(n, fpr, &q_bits, &r_bits);
-  return QuotientFilter(q_bits, r_bits);
+  const auto [q, r] = RsqfTable::SizeFor(n, fpr);
+  return QuotientFilter(q, r);
 }
 
-void QuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
-                                 uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
-  *fr = h & LowMask(r_bits_);
+bool QuotientFilter::Expand() {
+  if (r_bits_ <= 1 || !table_.Expand()) return false;
+  --r_bits_;
+  return true;
 }
 
 bool QuotientFilter::Insert(HashedKey key) {
@@ -91,14 +77,10 @@ bool QuotientFilter::Insert(HashedKey key) {
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  if (!InsertFingerprint(fq, fr)) return false;
+  // Runs are unordered multisets: a new remainder joins its run's end.
+  if (!table_.InsertValue(fq, fr, /*sorted=*/false)) return false;
   ++num_keys_;
   return true;
-}
-
-bool QuotientFilter::InsertFingerprint(uint64_t fq, uint64_t fr) {
-  // Runs are unordered multisets: a new remainder joins its run's end.
-  return table_.InsertValue(fq, fr, /*sorted=*/false);
 }
 
 bool QuotientFilter::Contains(HashedKey key) const {
@@ -155,7 +137,8 @@ size_t QuotientFilter::InsertMany(std::span<const HashedKey> keys) {
     }
     for (size_t j = 0; j < n; ++j) {
       // Same per-key admission check as Insert.
-      if (HasRoom(table_) && InsertFingerprint(fq[j], fr[j])) {
+      if (HasRoom(table_) &&
+          table_.InsertValue(fq[j], fr[j], /*sorted=*/false)) {
         ++num_keys_;
         ++inserted;
       }
@@ -202,11 +185,6 @@ bool QuotientFilter::LoadPayload(std::istream& is) {
                        &num_keys_, &table_);
 }
 
-void QuotientFilter::ForEachFingerprint(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  table_.ForEachValue(fn);
-}
-
 // ---------------------------------------------------------------------------
 // CountingQuotientFilter
 // ---------------------------------------------------------------------------
@@ -219,17 +197,8 @@ CountingQuotientFilter::CountingQuotientFilter(int q_bits, int r_bits,
 
 CountingQuotientFilter CountingQuotientFilter::ForCapacity(uint64_t n,
                                                            double fpr) {
-  int q_bits;
-  int r_bits;
-  SizeFor(n, fpr, &q_bits, &r_bits);
-  return CountingQuotientFilter(q_bits, r_bits);
-}
-
-void CountingQuotientFilter::Fingerprint(HashedKey key, uint64_t* fq,
-                                         uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
-  *fr = h & LowMask(r_bits_);
+  const auto [q, r] = RsqfTable::SizeFor(n, fpr, /*extra_bits=*/1);
+  return CountingQuotientFilter(q, r);
 }
 
 bool CountingQuotientFilter::FindRemainderSlot(uint64_t fq, uint64_t fr,

@@ -2,7 +2,6 @@
 #define BBF_QUOTIENT_QUOTIENT_FILTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/filter.h"
@@ -53,15 +52,14 @@ class QuotientFilter : public Filter {
   int r_bits() const { return r_bits_; }
 
   /// Splits the fingerprint of `key` into (quotient, remainder).
-  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
+  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const {
+    table_.Split(key.Derive(hash_seed_), r_bits_, fq, fr);
+  }
 
-  /// Inserts a raw (quotient, remainder) fingerprint. Exposed for the
-  /// expandable variants, which remap fingerprints across doublings.
-  bool InsertFingerprint(uint64_t fq, uint64_t fr);
-
-  /// Visits every stored fingerprint as (quotient, remainder).
-  void ForEachFingerprint(
-      const std::function<void(uint64_t fq, uint64_t fr)>& fn) const;
+  /// Bit-sacrifice doubling (§2.2, RsqfTable::Expand): twice the
+  /// quotients, one remainder bit fewer, so the FPR doubles. Returns false
+  /// once r == 1 or the table cannot grow; the filter is then unchanged.
+  bool Expand();
 
   /// Read access to the physical table (tests, invariant checks).
   const RsqfTable& table() const { return table_; }
@@ -74,8 +72,6 @@ class QuotientFilter : public Filter {
   static constexpr double kMaxLoadFactor = RsqfTable::kMaxLoadFactor;
 
  private:
-  friend class ExpandingQuotientFilter;
-
   // Contains body for a pre-split fingerprint; shared by Contains and
   // ContainsMany.
   bool ContainsFingerprint(uint64_t fq, uint64_t fr) const;
@@ -120,7 +116,9 @@ class CountingQuotientFilter : public Filter {
   bool LoadPayload(std::istream& is) override;
 
  private:
-  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
+  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const {
+    table_.Split(key.Derive(hash_seed_), r_bits_, fq, fr);
+  }
   // Locates the remainder slot for (fq, fr) in the run of fq. Returns
   // false if absent; otherwise *pos is the slot and *end the run end.
   bool FindRemainderSlot(uint64_t fq, uint64_t fr, uint64_t* pos,

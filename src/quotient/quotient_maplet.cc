@@ -1,10 +1,7 @@
 #include "quotient/quotient_maplet.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "quotient/quotient_filter.h"
 #include "util/bits.h"
 #include "util/hash.h"
 #include "util/serialize.h"
@@ -20,44 +17,28 @@ QuotientMaplet::QuotientMaplet(int q_bits, int r_bits, int value_bits,
 
 QuotientMaplet QuotientMaplet::ForCapacity(uint64_t n, double fpr,
                                            int value_bits) {
-  uint64_t slots = NextPow2(static_cast<uint64_t>(
-      std::ceil(n / QuotientFilter::kMaxLoadFactor)));
-  const int q_bits = std::max(6, BitWidth(slots - 1));
-  const double needed = -std::log2(fpr / QuotientFilter::kMaxLoadFactor);
-  const int r_bits = std::max(1, static_cast<int>(std::ceil(needed)));
-  return QuotientMaplet(q_bits, r_bits, value_bits);
-}
-
-void QuotientMaplet::Fingerprint(HashedKey key, uint64_t* fq,
-                                 uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> r_bits_) & (table_.num_quotients() - 1);
-  *fr = h & LowMask(r_bits_);
+  const auto [q, r] = RsqfTable::SizeFor(n, fpr, value_bits);
+  return QuotientMaplet(q, r, value_bits);
 }
 
 bool QuotientMaplet::Insert(HashedKey key, uint64_t value) {
-  if (table_.LoadFactor() >= QuotientFilter::kMaxLoadFactor) return false;
+  if (table_.LoadFactor() >= RsqfTable::kMaxLoadFactor ||
+      table_.num_used_slots() + 1 >= table_.num_quotients()) {
+    return false;
+  }
   uint64_t fq;
   uint64_t fr;
   Fingerprint(key, &fq, &fr);
-  return InsertFingerprint(fq, fr, value);
-}
-
-bool QuotientMaplet::InsertFingerprint(uint64_t fq, uint64_t fr,
-                                       uint64_t value) {
-  if (table_.num_used_slots() + 1 >= table_.num_quotients()) return false;
   const uint64_t slot = (fr << value_bits_) | (value & LowMask(value_bits_));
   if (!table_.InsertValue(fq, slot, /*sorted=*/false)) return false;
   ++num_entries_;
   return true;
 }
 
-void QuotientMaplet::ForEachEntry(
-    const std::function<void(uint64_t, uint64_t, uint64_t)>& fn) const {
-  const uint64_t mask = LowMask(value_bits_);
-  table_.ForEachValue([&](uint64_t q, uint64_t slot) {
-    fn(q, slot >> value_bits_, slot & mask);
-  });
+bool QuotientMaplet::Expand() {
+  if (r_bits_ <= 1 || !table_.Expand()) return false;
+  --r_bits_;
+  return true;
 }
 
 std::vector<uint64_t> QuotientMaplet::Lookup(HashedKey key) const {

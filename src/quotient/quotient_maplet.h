@@ -2,7 +2,6 @@
 #define BBF_QUOTIENT_QUOTIENT_MAPLET_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/key.h"
@@ -49,14 +48,11 @@ class QuotientMaplet {
     return Erase(HashedKey(key), value);
   }
 
-  /// Visits every stored entry as (quotient, remainder, value). Exposed
-  /// for the expandable variant, which remaps fingerprints on doubling.
-  void ForEachEntry(
-      const std::function<void(uint64_t fq, uint64_t fr, uint64_t value)>&
-          fn) const;
-
-  /// Inserts a raw (quotient, remainder, value) triple (expansion path).
-  bool InsertFingerprint(uint64_t fq, uint64_t fr, uint64_t value);
+  /// Bit-sacrifice doubling (§2.2, RsqfTable::Expand): twice the
+  /// quotients, one remainder bit fewer; values ride along untouched.
+  /// Returns false once r == 1 or the table cannot grow, leaving the
+  /// maplet unchanged.
+  bool Expand();
 
   size_t SpaceBits() const { return table_.SpaceBits(); }
   uint64_t NumEntries() const { return num_entries_; }
@@ -64,6 +60,8 @@ class QuotientMaplet {
   int q_bits() const { return table_.q_bits(); }
   int r_bits() const { return r_bits_; }
   int value_bits() const { return value_bits_; }
+  /// Read access to the physical table (tests).
+  const RsqfTable& table() const { return table_; }
 
   /// Raw snapshot payload (framing is the caller's job; the Maplet
   /// adapters wrap these in checksummed frames).
@@ -71,9 +69,9 @@ class QuotientMaplet {
   bool LoadPayload(std::istream& is);
 
  private:
-  friend class ExpandingQuotientMaplet;
-
-  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
+  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const {
+    table_.Split(key.Derive(hash_seed_), r_bits_, fq, fr);
+  }
 
   RsqfTable table_;
   int r_bits_;

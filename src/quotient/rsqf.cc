@@ -21,6 +21,30 @@ RsqfTable::RsqfTable(int q_bits, int value_bits)
       values_(total_slots_, value_bits),
       offsets_(total_slots_ / kBlockSlots + 1, 0) {}
 
+RsqfTable::Geometry RsqfTable::SizeFor(uint64_t n, double fpr,
+                                       int extra_bits) {
+  const uint64_t slots =
+      NextPow2(static_cast<uint64_t>(std::ceil(n / kMaxLoadFactor)));
+  // FPR ~ load * 2^-r; solve r for the target at max load.
+  const double needed = -std::log2(fpr / kMaxLoadFactor);
+  const double max_r = std::min(63, 64 - extra_bits);
+  return {std::max(6, BitWidth(slots - 1)),
+          static_cast<int>(std::ceil(std::clamp(needed, 1.0, max_r)))};
+}
+
+bool RsqfTable::Expand() {
+  if (value_bits_ <= 1 || q_bits_ >= 38) return false;
+  const int top = value_bits_ - 1;
+  RsqfTable next(q_bits_ + 1, top);
+  bool ok = true;
+  ForEachValue([&](uint64_t q, uint64_t value) {
+    ok = ok && next.InsertValue((q << 1) | (value >> top),
+                                value & LowMask(top), /*sorted=*/false);
+  });
+  if (ok) *this = std::move(next);
+  return ok;
+}
+
 uint64_t RsqfTable::SelectRunendAfter(uint64_t from, uint64_t k) const {
   // Position of the k-th (1-indexed) runend bit at position >= from.
   uint64_t w = from / 64;
@@ -344,31 +368,17 @@ bool RsqfTable::LoadBody(std::istream& is, int q_bits, int value_bits,
 }
 
 Rsqf::Rsqf(int q_bits, int r_bits, uint64_t hash_seed)
-    : q_bits_(q_bits),
-      r_bits_(r_bits),
-      hash_seed_(hash_seed),
-      num_quotients_(uint64_t{1} << q_bits),
-      table_(q_bits, r_bits) {}
+    : r_bits_(r_bits), hash_seed_(hash_seed), table_(q_bits, r_bits) {}
 
 Rsqf Rsqf::ForCapacity(uint64_t n, double fpr) {
-  const uint64_t slots =
-      NextPow2(static_cast<uint64_t>(std::ceil(n / kMaxLoadFactor)));
-  const int q = std::max(6, BitWidth(slots - 1));
-  const double needed = -std::log2(fpr / kMaxLoadFactor);
-  const int r = std::max(1, static_cast<int>(std::ceil(needed)));
+  const auto [q, r] = RsqfTable::SizeFor(n, fpr);
   return Rsqf(q, r);
-}
-
-void Rsqf::Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const {
-  const uint64_t h = key.Derive(hash_seed_);
-  *fq = (h >> r_bits_) & (num_quotients_ - 1);
-  *fr = h & LowMask(r_bits_);
 }
 
 bool Rsqf::Contains(HashedKey key) const {
   uint64_t fq;
   uint64_t fr;
-  Fingerprint(key, &fq, &fr);
+  table_.Split(key.Derive(hash_seed_), r_bits_, &fq, &fr);
   uint64_t probed;
   const bool hit = table_.ContainsValue(fq, fr, &probed);
   if (sink_ != nullptr) sink_->OnProbeLength(probed);
@@ -379,14 +389,14 @@ bool Rsqf::Insert(HashedKey key) {
   if (LoadFactor() >= kMaxLoadFactor) return false;
   uint64_t fq;
   uint64_t fr;
-  Fingerprint(key, &fq, &fr);
+  table_.Split(key.Derive(hash_seed_), r_bits_, &fq, &fr);
   if (!table_.InsertValue(fq, fr, /*sorted=*/false)) return false;
   ++num_keys_;
   return true;
 }
 
 bool Rsqf::SavePayload(std::ostream& os) const {
-  WriteI32(os, q_bits_);
+  WriteI32(os, table_.q_bits());
   WriteI32(os, r_bits_);
   WriteU64(os, hash_seed_);
   WriteU64(os, num_keys_);
@@ -398,17 +408,16 @@ bool Rsqf::LoadPayload(std::istream& is) {
   int32_t r;
   uint64_t seed;
   uint64_t n;
+  // r stays below 64 so the split's shift by r is defined.
   if (!ReadI32(is, &q) || q < 1 || q > 38 || !ReadI32(is, &r) || r < 1 ||
-      r > 64 || !ReadU64(is, &seed) || !ReadU64(is, &n)) {
+      r > 63 || !ReadU64(is, &seed) || !ReadU64(is, &n)) {
     return false;
   }
   RsqfTable table(1, 1);
   if (!RsqfTable::LoadBody(is, q, r, &table)) return false;
-  q_bits_ = q;
   r_bits_ = r;
   hash_seed_ = seed;
   num_keys_ = n;
-  num_quotients_ = uint64_t{1} << q;
   table_ = std::move(table);
   return true;
 }

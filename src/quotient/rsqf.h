@@ -32,6 +32,14 @@ namespace bbf {
 ///   - `TaffyFilter`: unary-delimited variable-length fingerprints;
 ///   - `MementoFilter` (src/range/memento.h): `(remainder << m) | memento`,
 ///     with each run kept sorted so it doubles as the memento list.
+/// The table also owns how a hash becomes a slot and how that grows:
+/// `Split` is the one (quotient, remainder) split, `SizeFor` the one
+/// capacity sizing rule, and `Expand` the one bit-sacrifice doubling
+/// (§2.2). Every family above except Taffy splits through `Split`, and
+/// every payload that leads with the remainder (all but the CQF's and
+/// Taffy's) can grow through `Expand`; Taffy keeps its own split and its
+/// own low-bit-to-top-bit transform (DESIGN.md §6.2).
+///
 /// Every insert shifts the rest of the cluster one slot right and every
 /// removal shifts it back left, stopping at runs that sit in their home
 /// slot. The table avoids wraparound with a small slack region after the
@@ -40,6 +48,35 @@ namespace bbf {
 class RsqfTable {
  public:
   RsqfTable(int q_bits, int value_bits);
+
+  struct Geometry {
+    int q_bits;
+    int r_bits;
+  };
+  /// The capacity sizing rule: the fewest quotients (at least 2^6) that
+  /// hold `n` keys below kMaxLoadFactor, and the r that solves
+  /// FPR ~ load * 2^-r at that load. r is clamped to [1, 63] and to
+  /// 64 - `extra_bits`, the family's payload bits beyond the remainder,
+  /// so the split's shift stays defined and a payload fits in 64 bits.
+  static Geometry SizeFor(uint64_t n, double fpr, int extra_bits = 0);
+
+  /// The quotient/remainder split of a 64-bit hash `h` with r-bit
+  /// remainders (r < 64): the remainder is the low r bits, the quotient
+  /// the q bits above them.
+  void Split(uint64_t h, int r_bits, uint64_t* fq, uint64_t* fr) const {
+    *fq = (h >> r_bits) & (num_quotients_ - 1);
+    *fr = h & LowMask(r_bits);
+  }
+
+  /// Bit-sacrifice doubling (§2.2): turns this (q, w) table into a
+  /// (q+1, w-1) one, moving each payload's top bit into the low bit of its
+  /// new quotient. For payloads that lead with the remainder, the result
+  /// is the table that `Split` with r-1 builds from the same hashes, so no
+  /// key is needed. One ForEachValue pass appends in visit order, which
+  /// keeps sorted runs sorted. Returns false, leaving the table untouched,
+  /// when w == 1, q is at LoadBody's 38-bit cap, or the rebuild runs out
+  /// of slack.
+  bool Expand();
 
   int q_bits() const { return q_bits_; }
   uint64_t num_quotients() const { return num_quotients_; }
@@ -204,7 +241,7 @@ class Rsqf : public Filter {
   std::string_view Name() const override { return "rsqf"; }
 
   double LoadFactor() const override {
-    return static_cast<double>(num_keys_) / (uint64_t{1} << q_bits_);
+    return static_cast<double>(num_keys_) / table_.num_quotients();
   }
   int r_bits() const { return r_bits_; }
 
@@ -218,12 +255,8 @@ class Rsqf : public Filter {
   static constexpr uint64_t kBlockSlots = RsqfTable::kBlockSlots;
 
  private:
-  void Fingerprint(HashedKey key, uint64_t* fq, uint64_t* fr) const;
-
-  int q_bits_;
   int r_bits_;
   uint64_t hash_seed_;
-  uint64_t num_quotients_;
   uint64_t num_keys_ = 0;
   RsqfTable table_;
 };

@@ -14,11 +14,9 @@ namespace bbf {
 
 MementoFilter::MementoFilter(int q_bits, int r_bits, int memento_bits,
                              uint64_t hash_seed)
-    : q_bits_(q_bits),
-      r_bits_(r_bits),
+    : r_bits_(r_bits),
       m_bits_(memento_bits),
       hash_seed_(hash_seed),
-      num_quotients_(uint64_t{1} << q_bits),
       table_(q_bits, r_bits + memento_bits) {}
 
 MementoFilter MementoFilter::ForCapacity(uint64_t n, double fpr,
@@ -45,22 +43,15 @@ MementoFilter MementoFilter::ForBitsPerKey(uint64_t n, double bits_per_key,
   return MementoFilter(q, r, memento_bits);
 }
 
-void MementoFilter::Fingerprint(uint64_t prefix, uint64_t* fq,
-                                uint64_t* fr) const {
-  const uint64_t h = Hash64(prefix, hash_seed_);
-  *fq = (h >> r_bits_) & (num_quotients_ - 1);
-  *fr = h & LowMask(r_bits_);
-}
-
 bool MementoFilter::AddKey(uint64_t key) {
   const uint64_t memento = key & LowMask(m_bits_);
   const uint64_t prefix = key >> m_bits_;
   while (true) {
     if (static_cast<double>(num_keys_) <
-        kMaxLoadFactor * static_cast<double>(num_quotients_)) {
+        kMaxLoadFactor * static_cast<double>(table_.num_quotients())) {
       uint64_t fq;
       uint64_t fr;
-      Fingerprint(prefix, &fq, &fr);
+      table_.Split(Hash64(prefix, hash_seed_), r_bits_, &fq, &fr);
       if (table_.InsertValue(fq, (fr << m_bits_) | memento,
                              /*sorted=*/true)) {
         ++num_keys_;
@@ -75,7 +66,7 @@ bool MementoFilter::ProbePrefix(uint64_t prefix, uint64_t m_lo,
                                 uint64_t m_hi) const {
   uint64_t fq;
   uint64_t fr;
-  Fingerprint(prefix, &fq, &fr);
+  table_.Split(Hash64(prefix, hash_seed_), r_bits_, &fq, &fr);
   if (!table_.Occupied(fq)) {
     if (sink_ != nullptr) sink_->OnProbeLength(0);
     return false;
@@ -114,28 +105,8 @@ bool MementoFilter::MayContainRange(uint64_t lo, uint64_t hi) const {
 }
 
 bool MementoFilter::Expand() {
-  if (r_bits_ <= 1 || q_bits_ >= 38) return false;
-  const int new_r = r_bits_ - 1;
-  RsqfTable next(q_bits_ + 1, new_r + m_bits_);
-  const uint64_t m_mask = LowMask(m_bits_);
-  bool ok = true;
-  // Old runs are sorted by (fr << m) | memento, so fingerprints arrive in
-  // ascending full-fingerprint order per quotient and every re-split
-  // insert appends at its new run's end — the rebuild is one linear pass.
-  table_.ForEachValue([&](uint64_t fq, uint64_t value) {
-    if (!ok) return;
-    const uint64_t fr = value >> m_bits_;
-    const uint64_t full = (fq << r_bits_) | fr;
-    const uint64_t nfq = full >> new_r;
-    const uint64_t nvalue =
-        ((full & LowMask(new_r)) << m_bits_) | (value & m_mask);
-    ok = next.InsertValue(nfq, nvalue, /*sorted=*/true);
-  });
-  if (!ok) return false;
-  table_ = std::move(next);
-  ++q_bits_;
-  r_bits_ = new_r;
-  num_quotients_ <<= 1;
+  if (r_bits_ <= 1 || !table_.Expand()) return false;
+  --r_bits_;
   ++expansions_;
   if (sink_ != nullptr) sink_->OnExpansion();
   return true;
@@ -176,7 +147,7 @@ bool MementoFilter::Load(std::istream& is) {
 }
 
 bool MementoFilter::SavePayload(std::ostream& os) const {
-  WriteI32(os, q_bits_);
+  WriteI32(os, table_.q_bits());
   WriteI32(os, r_bits_);
   WriteI32(os, m_bits_);
   WriteU64(os, hash_seed_);
@@ -200,13 +171,11 @@ bool MementoFilter::LoadPayload(std::istream& is) {
   }
   RsqfTable table(1, 1);
   if (!RsqfTable::LoadBody(is, q, r + m, &table)) return false;
-  q_bits_ = q;
   r_bits_ = r;
   m_bits_ = m;
   hash_seed_ = seed;
   num_keys_ = n;
   expansions_ = expansions;
-  num_quotients_ = uint64_t{1} << q;
   table_ = std::move(table);
   return true;
 }

@@ -35,10 +35,12 @@ namespace bbf {
 /// degrade on exactly those workloads (EXPERIMENTS.md E27).
 ///
 /// Expansion keeps the full (q + r)-bit fingerprint constant: each
-/// doubling moves one bit from the remainder to the quotient
-/// (q+1, r-1), re-splitting the stored fingerprints without touching the
-/// original keys — the RSQF resize path. FPR doubles per expansion and
-/// the path ends at r == 1, like ExpandingQuotientFilter.
+/// doubling moves one bit from the remainder to the quotient (q+1, r-1)
+/// through RsqfTable::Expand, the bit-sacrifice doubling the expanding
+/// quotient filter and maplet share. The payload leads with the
+/// remainder, so the stored fingerprints re-split without the original
+/// keys, and the runs stay sorted. FPR doubles per expansion and the path
+/// ends at r == 1.
 ///
 /// MementoFilter is both a Filter (point membership; it rides the
 /// registry, snapshot dispatcher, and obs hooks like any family) and a
@@ -86,7 +88,7 @@ class MementoFilter : public Filter, public RangeFilter {
   FilterClass Class() const override { return FilterClass::kSemiDynamic; }
   double LoadFactor() const override {
     return static_cast<double>(num_keys_) /
-           static_cast<double>(num_quotients_);
+           static_cast<double>(table_.num_quotients());
   }
 
   // ----- RangeFilter surface.
@@ -103,10 +105,12 @@ class MementoFilter : public Filter, public RangeFilter {
   bool SavePayload(std::ostream& os) const override;
   bool LoadPayload(std::istream& is) override;
 
-  int q_bits() const { return q_bits_; }
+  int q_bits() const { return table_.q_bits(); }
   int r_bits() const { return r_bits_; }
   int memento_bits() const { return m_bits_; }
   uint64_t expansions() const { return expansions_; }
+  /// Read access to the physical table (tests).
+  const RsqfTable& table() const { return table_; }
 
   /// Structural self-check for the test suite: the substrate invariants
   /// plus sortedness of every run.
@@ -119,20 +123,17 @@ class MementoFilter : public Filter, public RangeFilter {
   static constexpr uint64_t kMaxInteriorProbes = 64;
 
  private:
-  void Fingerprint(uint64_t prefix, uint64_t* fq, uint64_t* fr) const;
   /// One prefix probe: true when the run of the prefix's quotient holds
   /// its remainder with a memento in [m_lo, m_hi]. Reports the run-scan
   /// length through the metrics sink.
   bool ProbePrefix(uint64_t prefix, uint64_t m_lo, uint64_t m_hi) const;
-  /// The RSQF resize path: rebuilds into a (q+1, r-1) table, re-splitting
-  /// the constant (q + r)-bit fingerprints. False when r == 1.
+  /// Doubles the table (RsqfTable::Expand) and drops one remainder bit.
+  /// False when r == 1 or the table cannot grow.
   bool Expand();
 
-  int q_bits_;
   int r_bits_;
   int m_bits_;
   uint64_t hash_seed_;
-  uint64_t num_quotients_;
   uint64_t num_keys_ = 0;
   uint64_t expansions_ = 0;
   RsqfTable table_;

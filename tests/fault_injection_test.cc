@@ -253,6 +253,32 @@ TEST(FaultInjection, RsqfLoaderRejectsInconsistentMetadata) {
   EXPECT_TRUE(f.Contains(uint64_t{42}));
 }
 
+// A consistent body under r = 64: the split's shift by r would be
+// undefined on the first probe, so the loader rejects the frame and the
+// live filter keeps its state.
+TEST(FaultInjection, RsqfLoaderRejectsFullWidthRemainder) {
+  Rsqf f(8, 8);
+  ASSERT_TRUE(f.Insert(uint64_t{42}));
+  std::ostringstream before;
+  ASSERT_TRUE(f.Save(before));
+  std::ostringstream payload;
+  WriteI32(payload, 8);
+  WriteI32(payload, 64);
+  WriteU64(payload, 0x45F);
+  WriteU64(payload, 0);
+  ASSERT_TRUE(RsqfTable(8, 64).SaveBody(payload));
+  std::ostringstream frame;
+  ASSERT_TRUE(WriteSnapshotFrame(frame, "rsqf", payload.str()));
+  std::istringstream is(frame.str());
+  EXPECT_FALSE(f.Load(is));
+  std::istringstream tagged(frame.str());
+  EXPECT_EQ(LoadFilterSnapshot(tagged), nullptr);
+  std::ostringstream after;
+  ASSERT_TRUE(f.Save(after));
+  EXPECT_EQ(after.str(), before.str());
+  EXPECT_TRUE(f.Contains(uint64_t{42}));
+}
+
 TEST(FaultInjection, MementoLoaderRejectsInconsistentMetadata) {
   MementoFilter f(8, 8, 8);
   ASSERT_TRUE(f.AddKey(uint64_t{42} << 20));

@@ -4,6 +4,7 @@
 // randomized model tests compare every operation against a
 // std::unordered_multiset reference.
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -13,8 +14,9 @@
 
 #include <gtest/gtest.h>
 
-#include "quotient/expanding_quotient_filter.h"
 #include "core/key.h"
+#include "quotient/expanding_quotient_filter.h"
+#include "quotient/expanding_quotient_maplet.h"
 #include "quotient/quotient_filter.h"
 #include "quotient/quotient_maplet.h"
 #include "util/hash.h"
@@ -248,7 +250,7 @@ TEST(QuotientFilter, ForEachFingerprintEnumeratesAll) {
     expected.insert((fq << 12) | fr);
   }
   std::unordered_multiset<uint64_t> seen;
-  f.ForEachFingerprint(
+  f.table().ForEachValue(
       [&](uint64_t fq, uint64_t fr) { seen.insert((fq << 12) | fr); });
   EXPECT_EQ(seen, expected);
 }
@@ -383,6 +385,18 @@ TEST(QuotientMaplet, PositiveLookupsAlwaysIncludeTruth) {
   EXPECT_LT(prs_total / truth.size(), 1.05);
 }
 
+TEST(QuotientMaplet, ForCapacityKeepsRemainderAndValueInOnePayload) {
+  // FPR 1e-25 asks for an 83-bit remainder; the sizing rule leaves room
+  // for the value bits in a 64-bit payload.
+  QuotientMaplet m = QuotientMaplet::ForCapacity(1000, 1e-25, 10);
+  EXPECT_LE(m.r_bits() + m.value_bits(), 64);
+  for (uint64_t k = 1; k <= 1000; ++k) ASSERT_TRUE(m.Insert(k, k & 1023));
+  for (uint64_t k = 1; k <= 1000; ++k) {
+    const auto vals = m.Lookup(k);
+    ASSERT_NE(std::find(vals.begin(), vals.end(), k & 1023), vals.end()) << k;
+  }
+}
+
 TEST(QuotientMaplet, EraseRemovesAssociation) {
   QuotientMaplet m(10, 12, 8);
   m.Insert(5, 1);
@@ -432,6 +446,65 @@ TEST(ExpandingQuotientFilter, StopsWhenRemainderExhausted) {
   }
   EXPECT_LT(inserted, 4000u);  // Eventually r == 1 and expansion fails.
   EXPECT_EQ(f.r_bits(), 1);
+}
+
+// A table's contents as sorted (quotient, payload) pairs: two tables give
+// equal lists exactly when each quotient's run holds the same multiset.
+// QF and maplet runs are unordered, so this is how they are compared.
+std::vector<std::pair<uint64_t, uint64_t>> RunMultisets(const RsqfTable& t) {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  t.ForEachValue([&](uint64_t q, uint64_t v) { out.emplace_back(q, v); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// After k doublings the table must hold exactly what a (q+k, r-k)
+// structure with the same seed holds for the same keys: the doubling is
+// the hash split with one remainder bit fewer, not just lossless.
+TEST(ExpandingQuotientFilter, DoublingMatchesAFreshBuild) {
+  constexpr uint64_t kSeed = 0x5EED;
+  const auto keys = GenerateDistinctKeys(4000);
+  for (int k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    ExpandingQuotientFilter grown(6, 12, kSeed);
+    size_t n = 0;
+    while (grown.expansions() < k) {
+      ASSERT_TRUE(grown.Insert(keys[n]));
+      ++n;
+    }
+    QuotientFilter fresh(6 + k, 12 - k, kSeed);
+    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(fresh.Insert(keys[i]));
+    ASSERT_EQ(grown.filter().q_bits(), 6 + k);
+    ASSERT_EQ(grown.r_bits(), 12 - k);
+    EXPECT_EQ(grown.NumKeys(), fresh.NumKeys());
+    EXPECT_TRUE(grown.filter().table().CheckInvariants());
+    EXPECT_EQ(RunMultisets(grown.filter().table()),
+              RunMultisets(fresh.table()));
+  }
+}
+
+TEST(ExpandingQuotientMaplet, DoublingMatchesAFreshBuild) {
+  constexpr uint64_t kSeed = 0x5EED;
+  const auto keys = GenerateDistinctKeys(4000);
+  for (int k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    ExpandingQuotientMaplet grown(6, 12, 8, kSeed);
+    size_t n = 0;
+    while (grown.expansions() < k) {
+      ASSERT_TRUE(grown.Insert(keys[n], n & 0xFF));
+      ++n;
+    }
+    QuotientMaplet fresh(6 + k, 12 - k, 8, kSeed);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(fresh.Insert(keys[i], i & 0xFF));
+    }
+    ASSERT_EQ(grown.maplet().q_bits(), 6 + k);
+    ASSERT_EQ(grown.r_bits(), 12 - k);
+    EXPECT_EQ(grown.NumEntries(), fresh.NumEntries());
+    EXPECT_TRUE(grown.maplet().table().CheckInvariants());
+    EXPECT_EQ(RunMultisets(grown.maplet().table()),
+              RunMultisets(fresh.table()));
+  }
 }
 
 TEST(ExpandingQuotientFilter, EraseStillWorksAfterExpansion) {

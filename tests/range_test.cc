@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -395,6 +396,41 @@ TEST(Memento, OnlineInsertsWithExpansionPreserveEveryKey) {
   for (uint64_t k : keys) {
     ASSERT_TRUE(f.MayContain(k)) << "lost " << k;
     ASSERT_TRUE(f.MayContainRange(k, k)) << "lost (range) " << k;
+  }
+}
+
+// After k doublings the table must be the very table a (q+k, r-k) filter
+// with the same seed builds from the same keys. Runs are sorted, so the
+// comparison is byte for byte over the table body. Every second key
+// shares its predecessor's prefix, and every tenth is a duplicate, so
+// runs hold several mementos per prefix.
+TEST(Memento, DoublingMatchesAFreshBuildByteForByte) {
+  constexpr uint64_t kSeed = 0x5EED;
+  std::vector<uint64_t> keys;
+  for (uint64_t key : GenerateDistinctKeys(1500, TestSeed(0x3118))) {
+    keys.push_back(key);
+    keys.push_back(key ^ 0x5A);
+    if (keys.size() % 10 == 0) keys.push_back(key);
+  }
+  for (int k = 1; k <= 4; ++k) {
+    SCOPED_TRACE(k);
+    MementoFilter grown(6, 12, 8, kSeed);
+    size_t n = 0;
+    while (grown.expansions() < static_cast<uint64_t>(k)) {
+      ASSERT_TRUE(grown.AddKey(keys[n]));
+      ++n;
+    }
+    MementoFilter fresh(6 + k, 12 - k, 8, kSeed);
+    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(fresh.AddKey(keys[i]));
+    ASSERT_EQ(fresh.expansions(), 0u);
+    ASSERT_EQ(grown.q_bits(), 6 + k);
+    ASSERT_EQ(grown.r_bits(), 12 - k);
+    EXPECT_TRUE(grown.CheckInvariants());
+    std::ostringstream grown_body;
+    std::ostringstream fresh_body;
+    ASSERT_TRUE(grown.table().SaveBody(grown_body));
+    ASSERT_TRUE(fresh.table().SaveBody(fresh_body));
+    EXPECT_EQ(grown_body.str(), fresh_body.str());
   }
 }
 

@@ -233,5 +233,20 @@ TEST(Registry, FactoryFiltersSurviveFactoryToSnapshotToLoadToQuery) {
   }
 }
 
+TEST(Registry, QuotientFamiliesClampTheRemainderForATinyFpr) {
+  // FPR 1e-25 asks for an 83-bit remainder. The sizing rule clamps r so
+  // the hash split's shift by r stays defined (UBSan flags it otherwise)
+  // and the filters still answer for every key.
+  for (std::string_view name :
+       {"quotient", "counting-quotient", "rsqf", "adaptive-quotient"}) {
+    const auto f = CreateFilter(name, 1000, 1e-25);
+    ASSERT_NE(f, nullptr) << name;
+    for (uint64_t k = 1; k <= 1000; ++k) ASSERT_TRUE(f->Insert(k)) << name;
+    for (uint64_t k = 1; k <= 1000; ++k) {
+      ASSERT_TRUE(f->Contains(k)) << name << " lost key " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bbf

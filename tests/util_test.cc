@@ -80,9 +80,13 @@ TEST(Hash, DeterministicAndSeedSensitive) {
   EXPECT_EQ(Hash64(123, 1), Hash64(123, 1));
   EXPECT_NE(Hash64(123, 1), Hash64(123, 2));
   EXPECT_NE(Hash64(123, 1), Hash64(124, 1));
-  EXPECT_EQ(HashBytes("hello", 9), HashBytes("hello", 9));
-  EXPECT_NE(HashBytes("hello", 9), HashBytes("hellp", 9));
-  EXPECT_NE(HashBytes("hello", 9), HashBytes("hello", 10));
+  // Both buffers hold at least 10 bytes, so every length below is in
+  // bounds.
+  const char a[] = "hello, world";
+  const char b[] = "hellp, world";
+  EXPECT_EQ(HashBytes(a, 9), HashBytes(a, 9));
+  EXPECT_NE(HashBytes(a, 9), HashBytes(b, 9));
+  EXPECT_NE(HashBytes(a, 9), HashBytes(a, 10));
 }
 
 TEST(Hash, BytesMatchesAllLengths) {
