@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,6 +28,7 @@
 #include "core/key.h"
 #include "core/sharded_filter.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "harness.h"
 #include "util/hash.h"
 #include "workload/generators.h"
 
@@ -40,30 +40,15 @@ namespace {
 constexpr int kReps = 3;
 constexpr size_t kShards = 16;
 
-struct Row {
-  std::string section;  // "primitive" | "sharded-lookup"
-  std::string name;
-  uint64_t n;
-  double mops;
-  double speedup;  // vs the section's baseline row at the same n.
-};
-
-std::vector<Row> g_rows;
+Report* g_report = nullptr;
 
 void Record(const std::string& section, const std::string& name, uint64_t n,
             double mops, double baseline_mops) {
   const double speedup = baseline_mops > 0 ? mops / baseline_mops : 0.0;
-  g_rows.push_back({section, name, n, mops, speedup});
+  g_report->Add({{"section", section}, {"mode", name}, {"n", n}},
+                {{"mops", "Mops", mops}, {"speedup", "x", speedup}});
   std::printf("  %-14s %-22s n=%-9llu %9.2f Mops   %5.2fx\n", section.c_str(),
               name.c_str(), static_cast<unsigned long long>(n), mops, speedup);
-}
-
-/// Best-of-kReps wall time of `fn` (min strips co-tenant noise).
-template <typename Fn>
-double BestSeconds(Fn&& fn) {
-  double t = 1e30;
-  for (int rep = 0; rep < kReps; ++rep) t = std::min(t, Seconds(fn));
-  return t;
 }
 
 // ---- Part A: per-key hashing primitives. The accumulator is consumed
@@ -76,21 +61,21 @@ void RunPrimitives(const std::vector<uint64_t>& keys) {
   // Legacy pipeline: one seeded routing hash (the old ShardedFilter's
   // Hash64(key, 0x5A4D)) plus the family's own full re-mix of the raw
   // key — two finalizer-strength mixes per op.
-  const double t_legacy = BestSeconds([&] {
+  const double t_legacy = BestSeconds(kReps, [&] {
     for (uint64_t k : keys) acc ^= Hash64(k, 0x5A4D) ^ Mix64(k);
   });
   const double legacy_mops = Mops(n, t_legacy);
   Record("primitive", "legacy-route+rehash", n, legacy_mops, legacy_mops);
 
   // Hash-once boundary: the single canonical mix every layer shares.
-  const double t_mix = BestSeconds([&] {
+  const double t_mix = BestSeconds(kReps, [&] {
     for (uint64_t k : keys) acc ^= HashedKey(k).value();
   });
   Record("primitive", "hash-once-boundary", n, Mops(n, t_mix), legacy_mops);
 
   // Boundary mix plus a Kirsch–Mitzenmacher h1/h2 stream pair — the full
   // per-key hashing a Bloom probe needs under the new pipeline.
-  const double t_derive = BestSeconds([&] {
+  const double t_derive = BestSeconds(kReps, [&] {
     for (uint64_t k : keys) {
       const HashedKey hk(k);
       acc ^= hk.Derive(0) ^ hk.Derive(1);
@@ -108,7 +93,7 @@ void RunPrimitives(const std::vector<uint64_t>& keys) {
                   static_cast<unsigned long long>(k));
     strs.emplace_back(buf, 16);
   }
-  const double t_str = BestSeconds([&] {
+  const double t_str = BestSeconds(kReps, [&] {
     for (const std::string& s : strs) {
       acc ^= HashedKey(std::string_view(s)).value();
     }
@@ -119,17 +104,6 @@ void RunPrimitives(const std::vector<uint64_t>& keys) {
 }
 
 // ---- Part B: end-to-end sharded lookups.
-
-std::vector<uint64_t> MixedQueries(const std::vector<uint64_t>& keys,
-                                   const std::vector<uint64_t>& negatives) {
-  std::vector<uint64_t> q;
-  q.reserve(keys.size() + negatives.size());
-  for (size_t i = 0; i < keys.size() || i < negatives.size(); ++i) {
-    if (i < keys.size()) q.push_back(keys[i]);
-    if (i < negatives.size()) q.push_back(negatives[i]);
-  }
-  return q;
-}
 
 using ShardFactory = std::function<std::unique_ptr<Filter>(uint64_t)>;
 
@@ -215,7 +189,7 @@ void RunShardedFamily(const std::string& family, const ShardFactory& make,
   }
 
   uint64_t hits_legacy = 0;
-  const double t_legacy = BestSeconds([&] {
+  const double t_legacy = BestSeconds(kReps, [&] {
     hits_legacy = 0;
     for (uint64_t k : queries) hits_legacy += legacy.LegacyContains(k);
   });
@@ -223,7 +197,7 @@ void RunShardedFamily(const std::string& family, const ShardFactory& make,
   Record(family, "legacy-double-hash", n, legacy_mops, legacy_mops);
 
   uint64_t hits_scalar = 0;
-  const double t_scalar = BestSeconds([&] {
+  const double t_scalar = BestSeconds(kReps, [&] {
     hits_scalar = 0;
     for (uint64_t k : queries) hits_scalar += current.Contains(HashedKey(k));
   });
@@ -233,11 +207,12 @@ void RunShardedFamily(const std::string& family, const ShardFactory& make,
   std::vector<uint8_t> out(queries.size());
   BatchScratch scratch;
   uint64_t hits_batch = 0;
-  const double t_batch128 = BestSeconds(
-      [&] { hits_batch = scratch.Lookup(current, queries, 128, out.data()); });
+  const double t_batch128 = BestSeconds(kReps, [&] {
+    hits_batch = scratch.Lookup(current, queries, 128, out.data());
+  });
   Record(family, "hash-once-batch128", n, Mops(queries.size(), t_batch128),
          legacy_mops);
-  const double t_batchfull = BestSeconds([&] {
+  const double t_batchfull = BestSeconds(kReps, [&] {
     hits_batch = scratch.Lookup(current, queries, queries.size(), out.data());
   });
   Record(family, "hash-once-batchfull", n, Mops(queries.size(), t_batchfull),
@@ -276,44 +251,13 @@ void RunSize(uint64_t n) {
   std::printf("\n");
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"hash\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"section\": \"%s\", \"mode\": \"%s\", \"n\": %llu, "
-                 "\"mops\": %.3f, \"speedup\": %.3f}%s\n",
-                 r.section.c_str(), r.name.c_str(),
-                 static_cast<unsigned long long>(r.n), r.mops, r.speedup,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const Args args = ParseArgs(argc, argv);
+  Report report("hash", args);
+  g_report = &report;
   RunSize(uint64_t{1} << 20);
-  if (!quick) RunSize(uint64_t{1} << 23);
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  if (!args.quick) RunSize(uint64_t{1} << 23);
+  return report.Finish();
 }

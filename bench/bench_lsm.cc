@@ -14,41 +14,24 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "apps/lsm/lsm_tree.h"
 #include "bench_util.h"
+#include "harness.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
 using namespace bbf::lsm;
 using bbf::bench::Mops;
+using bbf::bench::Report;
 using bbf::bench::Seconds;
 
 namespace {
 
-struct Row {
-  std::string config;
-  double neg_ios;    // Simulated data reads per negative point lookup.
-  double pos_ios;    // ... per positive point lookup.
-  double scan_ios;   // ... per (mostly empty) short range scan.
-  double fpr;        // Measured point-lookup FPR across the whole tree.
-  double neg_mops;   // Wall-clock negative-lookup throughput.
-  double filter_mib;
-  double w_amp;
-};
-
-struct LifecycleRow {
-  std::string mode;  // "recovery" | "rebuild"
-  uint64_t keys;
-  double seconds;
-};
-
-std::vector<Row> g_rows;
-std::vector<LifecycleRow> g_lifecycle;
+Report* g_report = nullptr;
 
 void RunConfig(const char* name, const LsmOptions& options,
                const std::vector<uint64_t>& keys,
@@ -87,18 +70,20 @@ void RunConfig(const char* name, const LsmOptions& options,
   }
   const double scan_ios = static_cast<double>(db.io().data_reads) / kScans;
 
-  const Row row{name,
-                neg_ios,
-                pos_ios,
-                scan_ios,
-                fpr,
-                Mops(negatives.size(), t_neg),
-                db.TotalFilterBits() / 8.0 / (1 << 20),
-                db.WriteAmplification()};
-  g_rows.push_back(row);
+  const double neg_mops = Mops(negatives.size(), t_neg);
+  const double filter_mib = db.TotalFilterBits() / 8.0 / (1 << 20);
+  const double w_amp = db.WriteAmplification();
+  g_report->Add({{"config", name}},
+                {{"neg_ios", "reads/get", neg_ios},
+                 {"pos_ios", "reads/get", pos_ios},
+                 {"scan_ios", "reads/scan", scan_ios},
+                 {"fpr", "ratio", fpr},
+                 {"neg_mops", "Mops", neg_mops},
+                 {"filter_mib", "MiB", filter_mib},
+                 {"write_amp", "x", w_amp}});
   std::printf("%-26s | %8.4f | %8.4f | %8.4f | %8.5f | %8.2f | %9.2f | %6.1f\n",
-              name, row.neg_ios, row.pos_ios, row.scan_ios, row.fpr,
-              row.neg_mops, row.filter_mib, row.w_amp);
+              name, neg_ios, pos_ios, scan_ios, fpr, neg_mops, filter_mib,
+              w_amp);
 }
 
 /// E24: persist a tree under mixed insert/flush/compact load, then time
@@ -138,7 +123,8 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
     std::fprintf(stderr, "FATAL: recovery failed\n");
     std::exit(1);
   }
-  g_lifecycle.push_back({"recovery", keys.size(), t_recover});
+  g_report->Add({{"mode", "recovery"}, {"keys", keys.size()}},
+                {{"seconds", "s", t_recover}});
 
   LsmOptions volatile_o = o;
   volatile_o.dir.clear();
@@ -147,7 +133,8 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
     rebuilt = std::make_unique<LsmTree>(volatile_o);
     for (uint64_t k : keys) rebuilt->Put(k, k);
   });
-  g_lifecycle.push_back({"rebuild", keys.size(), t_rebuild});
+  g_report->Add({{"mode", "rebuild"}, {"keys", keys.size()}},
+                {{"seconds", "s", t_rebuild}});
 
   std::printf("  open from manifest: %8.3f s   (filters loaded: snapshots)\n",
               t_recover);
@@ -158,56 +145,15 @@ void RunLifecycle(const std::vector<uint64_t>& keys) {
   std::filesystem::remove_all(dir);
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"lsm\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"neg_ios\": %.4f, "
-                 "\"pos_ios\": %.4f, \"scan_ios\": %.4f, \"fpr\": %.5f, "
-                 "\"neg_mops\": %.3f, \"filter_mib\": %.2f, "
-                 "\"write_amp\": %.2f}%s\n",
-                 r.config.c_str(), r.neg_ios, r.pos_ios, r.scan_ios, r.fpr,
-                 r.neg_mops, r.filter_mib, r.w_amp,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"lifecycle\": [\n");
-  for (size_t i = 0; i < g_lifecycle.size(); ++i) {
-    const LifecycleRow& r = g_lifecycle[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"keys\": %llu, "
-                 "\"seconds\": %.4f}%s\n",
-                 r.mode.c_str(), static_cast<unsigned long long>(r.keys),
-                 r.seconds, i + 1 < g_lifecycle.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const auto args = bbf::bench::ParseArgs(argc, argv);
+  Report report("lsm", args);
+  g_report = &report;
 
   std::printf("== E9: LSM point lookups and range scans (simulated I/O) ==\n\n");
-  const uint64_t n = quick ? 200000 : 1000000;
+  const uint64_t n = args.quick ? 200000 : 1000000;
   const auto keys = bbf::GenerateDistinctKeys(n, 3);
   const auto negatives = bbf::GenerateNegativeKeys(keys, n / 20, 4);
 
@@ -275,7 +221,5 @@ int main(int argc, char** argv) {
       "write-amp; range filters collapse the empty-scan column.\n");
 
   RunLifecycle(keys);
-
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  return report.Finish();
 }

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,6 +27,7 @@
 #include "apps/net/server.h"
 #include "bench_util.h"
 #include "core/sharded_filter.h"
+#include "harness.h"
 #include "quotient/quotient_filter.h"
 #include "workload/generators.h"
 
@@ -37,6 +37,7 @@ using bbf::HashedKey;
 using bbf::QuotientFilter;
 using bbf::ShardedFilter;
 using bbf::bench::Mops;
+using bbf::bench::Report;
 using bbf::bench::Seconds;
 using bbf::net::FrameStatus;
 using bbf::net::Server;
@@ -45,17 +46,10 @@ using bbf::net::SyncClient;
 
 namespace {
 
-struct Row {
-  int conns;
-  size_t batch;
-  double lookup_mops;    // Million key-lookups/s across all connections.
-  double frames_per_ms;  // Request/response round trips per millisecond.
-};
-
-std::vector<Row> g_rows;
-
-Row RunRow(uint16_t port, int conns, size_t batch, uint64_t keys_per_conn,
-           const std::vector<uint64_t>& pool) {
+/// Times `conns` clients each sending `batch`-key lookup frames, then
+/// prints and records the row.
+void RunRow(Report& report, uint16_t port, int conns, size_t batch,
+            uint64_t keys_per_conn, const std::vector<uint64_t>& pool) {
   // Connect everything first so the timed region is pure request load.
   std::vector<std::unique_ptr<SyncClient>> clients;
   for (int c = 0; c < conns; ++c) {
@@ -97,52 +91,24 @@ Row RunRow(uint16_t port, int conns, size_t batch, uint64_t keys_per_conn,
   }
   const uint64_t total_keys = frames_per_conn * batch * conns;
   const uint64_t total_frames = frames_per_conn * conns;
-  Row r;
-  r.conns = conns;
-  r.batch = batch;
-  r.lookup_mops = Mops(total_keys, seconds);
-  r.frames_per_ms = seconds > 0 ? total_frames / (seconds * 1e3) : 0.0;
-  return r;
-}
-
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"net\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"conns\": %d, \"batch\": %zu, "
-                 "\"lookup_mops\": %.3f, \"frames_per_ms\": %.1f}%s\n",
-                 r.conns, r.batch, r.lookup_mops, r.frames_per_ms,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+  const double lookup_mops = Mops(total_keys, seconds);
+  const double frames_per_ms =
+      seconds > 0 ? total_frames / (seconds * 1e3) : 0.0;
+  std::printf("%8d %8zu %14.3f %14.1f\n", conns, batch, lookup_mops,
+              frames_per_ms);
+  report.Add({{"conns", conns}, {"batch", batch}},
+             {{"lookup_mops", "Mops", lookup_mops},
+              {"frames_per_ms", "frames/ms", frames_per_ms}});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  const auto args = bbf::bench::ParseArgs(argc, argv);
+  Report report("net", args);
 
   const uint64_t pool_size = 1 << 20;
-  const uint64_t keys_per_conn = quick ? (1 << 17) : (1 << 21);
+  const uint64_t keys_per_conn = args.quick ? (1 << 17) : (1 << 21);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int loops = static_cast<int>(std::min(hw, 8u));
 
@@ -170,22 +136,17 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %14s %14s\n", "conns", "batch", "Mkeys/s",
               "frames/ms");
   const std::vector<int> conn_sweep =
-      quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8, 16};
-  const std::vector<size_t> batch_sweep = quick
-                                              ? std::vector<size_t>{16, 1024}
-                                              : std::vector<size_t>{16, 256,
-                                                                    4096};
+      args.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8, 16};
+  // The quick sweep is a subset of the full one, so a smoke run's rows
+  // always have a full-run counterpart.
+  const std::vector<size_t> batch_sweep =
+      args.quick ? std::vector<size_t>{16, 1024}
+                 : std::vector<size_t>{16, 256, 1024, 4096};
   for (int conns : conn_sweep) {
     for (size_t batch : batch_sweep) {
-      const Row r =
-          RunRow(server.port(), conns, batch, keys_per_conn, pool);
-      std::printf("%8d %8zu %14.3f %14.1f\n", r.conns, r.batch,
-                  r.lookup_mops, r.frames_per_ms);
-      g_rows.push_back(r);
+      RunRow(report, server.port(), conns, batch, keys_per_conn, pool);
     }
   }
   server.Shutdown();
-
-  if (!json_path.empty()) WriteJson(json_path);
-  return 0;
+  return report.Finish();
 }

@@ -7,12 +7,11 @@
 // Usage: bench_obs [--quick] [--json=PATH]
 //   --quick      only the in-cache size (1M keys); default also runs the
 //                out-of-LLC size (16M keys) that the 5% gate is judged on.
-//   --json=PATH  append machine-readable results (BENCH_obs.json).
+//   --json=PATH  write machine-readable results (BENCH_obs.json).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -21,6 +20,7 @@
 #include "bench_util.h"
 #include "bloom/bloom_filter.h"
 #include "cuckoo/cuckoo_filter.h"
+#include "harness.h"
 #include "obs/instrumented.h"
 #include "quotient/quotient_filter.h"
 #include "workload/generators.h"
@@ -30,45 +30,29 @@ using namespace bbf::bench;
 
 namespace {
 
-struct Row {
-  std::string filter;
-  uint64_t n;
-  std::string op;        // "insert" | "lookup"
-  double raw_mops;
-  double inst_mops;
-  double overhead_pct;   // (raw - inst) / raw * 100.
-};
-
-std::vector<Row> g_rows;
+Report* g_report = nullptr;
 
 void Record(const std::string& filter, uint64_t n, const std::string& op,
             double raw_mops, double inst_mops) {
   const double overhead =
       raw_mops > 0 ? (raw_mops - inst_mops) / raw_mops * 100.0 : 0.0;
-  g_rows.push_back({filter, n, op, raw_mops, inst_mops, overhead});
+  g_report->Add({{"filter", filter}, {"n", n}, {"op", op}},
+                {{"raw_mops", "Mops", raw_mops},
+                 {"instrumented_mops", "Mops", inst_mops},
+                 {"overhead_pct", "%", overhead}});
   std::printf("  %-14s n=%-9llu %-7s raw %9.2f Mops   inst %9.2f Mops   "
               "overhead %+6.2f%%\n",
               filter.c_str(), static_cast<unsigned long long>(n), op.c_str(),
               raw_mops, inst_mops, overhead);
-}
-
-std::vector<uint64_t> MixedQueries(const std::vector<uint64_t>& keys,
-                                   const std::vector<uint64_t>& negatives) {
-  std::vector<uint64_t> q;
-  q.reserve(keys.size() + negatives.size());
-  for (size_t i = 0; i < keys.size() || i < negatives.size(); ++i) {
-    if (i < keys.size()) q.push_back(keys[i]);
-    if (i < negatives.size()) q.push_back(negatives[i]);
+  // The E22 gate: instrumented batched lookup within 5% of raw on
+  // blocked-bloom. Warn-only here — the committed BENCH_obs.json is the
+  // record; CI machines are too noisy to gate hard.
+  if (filter == "blocked-bloom" && op == "lookup" && overhead > 5.0) {
+    std::fprintf(stderr,
+                 "WARNING: blocked-bloom lookup overhead %.2f%% exceeds the "
+                 "5%% budget (n=%llu)\n",
+                 overhead, static_cast<unsigned long long>(n));
   }
-  return q;
-}
-
-uint64_t BatchedLookup(const Filter& f, const std::vector<uint64_t>& queries,
-                       uint8_t* out) {
-  f.ContainsMany(queries, out);
-  uint64_t hits = 0;
-  for (size_t i = 0; i < queries.size(); ++i) hits += out[i];
-  return hits;
 }
 
 /// Times batched insert + batched lookup on `make()`-built filters,
@@ -89,18 +73,13 @@ Throughput RunOne(const std::function<std::unique_ptr<Filter>()>& make,
   // gives on a shared machine; lookups are cheap enough to rerun.
   constexpr int kLookupReps = 5;
   std::unique_ptr<Filter> f;
-  double t_insert = 1e30;
-  for (int rep = 0; rep < kInsertReps; ++rep) {
-    f = make();
-    t_insert = std::min(t_insert, Seconds([&] { f->InsertMany(keys); }));
-  }
+  const double t_insert = BestSeconds(
+      kInsertReps, [&] { f = make(); }, [&] { f->InsertMany(keys); });
   std::vector<uint8_t> out(queries.size());
   uint64_t hits = 0;
-  double t_lookup = 1e30;
-  for (int rep = 0; rep < kLookupReps; ++rep) {
-    t_lookup = std::min(
-        t_lookup, Seconds([&] { hits = BatchedLookup(*f, queries, out.data()); }));
-  }
+  const double t_lookup = BestSeconds(kLookupReps, [&] {
+    hits = BatchedLookup(*f, queries, queries.size(), out.data());
+  });
   *hits_out = hits;
   return {Mops(keys.size(), t_insert), Mops(queries.size(), t_lookup)};
 }
@@ -153,58 +132,13 @@ void RunSize(uint64_t n) {
   std::printf("\n");
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"obs\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"filter\": \"%s\", \"n\": %llu, \"op\": \"%s\", "
-                 "\"raw_mops\": %.3f, \"instrumented_mops\": %.3f, "
-                 "\"overhead_pct\": %.3f}%s\n",
-                 r.filter.c_str(), static_cast<unsigned long long>(r.n),
-                 r.op.c_str(), r.raw_mops, r.inst_mops, r.overhead_pct,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  const Args args = ParseArgs(argc, argv);
+  Report report("obs", args);
+  g_report = &report;
   RunSize(uint64_t{1} << 20);
-  if (!quick) RunSize(uint64_t{1} << 24);
-  if (!json_path.empty()) WriteJson(json_path);
-
-  // The E22 gate: instrumented batched lookup within 5% of raw on the
-  // largest blocked-bloom size run. Warn-only here — the committed
-  // BENCH_obs.json is the record; CI machines are too noisy to gate hard.
-  for (const Row& r : g_rows) {
-    if (r.filter == "blocked-bloom" && r.op == "lookup" &&
-        r.overhead_pct > 5.0) {
-      std::fprintf(stderr,
-                   "WARNING: blocked-bloom lookup overhead %.2f%% exceeds the "
-                   "5%% budget (n=%llu)\n",
-                   r.overhead_pct, static_cast<unsigned long long>(r.n));
-    }
-  }
-  return 0;
+  if (!args.quick) RunSize(uint64_t{1} << 24);
+  return report.Finish();
 }

@@ -28,7 +28,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -37,6 +36,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "range/arf.h"
 #include "range/grafite.h"
 #include "range/memento.h"
@@ -237,47 +237,14 @@ InterleavedResult InterleavedRun(const Family& family,
   return r;
 }
 
-void WriteJson(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"range\",\n  \"results\": [\n");
-  for (size_t i = 0; i < g_rows.size(); ++i) {
-    const ScenarioRow& r = g_rows[i];
-    std::fprintf(
-        f,
-        "    {\"family\": \"%s\", \"bits_per_key\": %.2f, "
-        "\"uncorr_fpr\": %.5f, \"corr_fpr\": %.5f, \"mixed_fpr\": %.5f, "
-        "\"inter_fpr\": %.5f, \"inter_false_negatives\": %llu, "
-        "\"rebuilds\": %llu, \"build_s\": %.4f, \"query_mops\": %.3f}%s\n",
-        r.family.c_str(), r.bits_per_key, r.uncorr_fpr, r.corr_fpr,
-        r.mixed_fpr, r.inter_fpr,
-        static_cast<unsigned long long>(r.inter_fn),
-        static_cast<unsigned long long>(r.rebuilds), r.build_s, r.query_mops,
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
+  const auto args = bbf::bench::ParseArgs(argc, argv);
+  bbf::bench::Report report("range", args);
 
-  const uint64_t n = quick ? 50000 : 200000;
-  const uint64_t attempts = quick ? 20000 : 50000;
+  const uint64_t n = args.quick ? 50000 : 200000;
+  const uint64_t attempts = args.quick ? 20000 : 50000;
   auto keys = GenerateDistinctKeys(n);
   // Interleaved inserts arrive in generation (random) order — feeding the
   // sorted vector would grow the key set as an ascending prefix of the
@@ -347,6 +314,16 @@ int main(int argc, char** argv) {
     row.rebuilds = inter.rebuilds;
     row.build_s = inter.build_s;
     g_rows.push_back(row);
+    report.Add({{"family", row.family}},
+               {{"bits_per_key", "bits", row.bits_per_key},
+                {"uncorr_fpr", "ratio", row.uncorr_fpr},
+                {"corr_fpr", "ratio", row.corr_fpr},
+                {"mixed_fpr", "ratio", row.mixed_fpr},
+                {"inter_fpr", "ratio", row.inter_fpr},
+                {"inter_false_negatives", "count", row.inter_fn},
+                {"rebuilds", "count", row.rebuilds},
+                {"build_s", "s", row.build_s},
+                {"query_mops", "Mops", row.query_mops}});
     std::printf("%-14s %9.2f %11.5f %11.5f %11.5f %11.5f %9llu %9llu %9.3f "
                 "%9.3f\n",
                 row.family.c_str(), row.bits_per_key, row.uncorr_fpr,
@@ -422,8 +399,6 @@ int main(int argc, char** argv) {
                 untrained, trained, shifted, arf.num_nodes());
   }
 
-  if (!json_path.empty()) WriteJson(json_path);
-
   // Acceptance gates (DESIGN.md §16): fail loudly if the dynamic-range
   // story regresses.
   int violations = 0;
@@ -461,7 +436,7 @@ int main(int argc, char** argv) {
   }
   if (violations != 0) {
     std::fprintf(stderr, "%d acceptance gate(s) violated\n", violations);
-    return 1;
+    return report.Finish(false);
   }
 
   std::printf(
@@ -472,5 +447,5 @@ int main(int argc, char** argv) {
       "rebuilds where every static family pays repeated construction; surf's\n"
       "space explodes on adversarial keys; ARF converges on a repeating\n"
       "workload and relapses when it shifts.\n");
-  return 0;
+  return report.Finish();
 }

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +30,7 @@
 #include "core/fpr_estimator.h"
 #include "core/key.h"
 #include "core/sharded_filter.h"
+#include "harness.h"
 #include "obs/instrumented.h"
 #include "tuning/tuner.h"
 #include "util/random.h"
@@ -248,64 +248,15 @@ RecoveryResult MeasureFprRecovery(bool quick) {
   return r;
 }
 
-void WriteJson(const std::string& path, const PauseResult& p,
-               const RecoveryResult& f, double ratio, bool pause_ok,
-               bool recovered) {
-  FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"tuner\",\n");
-  std::fprintf(out, "  \"migration_pause\": {\n");
-  std::fprintf(out, "    \"steady_p50_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.steady_p50_ns));
-  std::fprintf(out, "    \"steady_p99_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.steady_p99_ns));
-  std::fprintf(out, "    \"swap_p50_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.swap_p50_ns));
-  std::fprintf(out, "    \"swap_p99_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.swap_p99_ns));
-  std::fprintf(out, "    \"max_pause_ns\": %llu,\n",
-               static_cast<unsigned long long>(p.max_pause_ns));
-  std::fprintf(out, "    \"migrations\": %llu,\n",
-               static_cast<unsigned long long>(p.migrations));
-  std::fprintf(out, "    \"swap_p99_over_steady_p99\": %.2f,\n", ratio);
-  std::fprintf(out, "    \"within_10x_budget\": %s\n  },\n",
-               pause_ok ? "true" : "false");
-  std::fprintf(out, "  \"fpr_recovery\": {\n");
-  std::fprintf(out, "    \"from_family\": \"%s\",\n", f.from_family.c_str());
-  std::fprintf(out, "    \"to_family\": \"%s\",\n", f.to_family.c_str());
-  std::fprintf(out, "    \"fpr_budget\": %.4f,\n", f.budget);
-  std::fprintf(out, "    \"hot_set_fpr_before\": %.4f,\n", f.fpr_before);
-  std::fprintf(out, "    \"hot_set_fpr_after\": %.4f,\n", f.fpr_after);
-  std::fprintf(out, "    \"migration_pause_ns\": %llu,\n",
-               static_cast<unsigned long long>(f.pause_ns));
-  std::fprintf(out, "    \"recovered\": %s\n  }\n}\n",
-               recovered ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json=PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  const auto args = bbf::bench::ParseArgs(argc, argv);
+  bbf::bench::Report report("tuner", args);
 
   std::printf("E26: online migration cost and FPR recovery\n\n");
 
-  const PauseResult p = MeasureMigrationPause(quick);
+  const PauseResult p = MeasureMigrationPause(args.quick);
   const double ratio =
       p.steady_p99_ns > 0
           ? static_cast<double>(p.swap_p99_ns) / p.steady_p99_ns
@@ -326,7 +277,7 @@ int main(int argc, char** argv) {
   std::printf("  swap p99 / steady p99 = %.2fx (budget 10x) -> %s\n\n", ratio,
               pause_ok ? "ok" : "FAIL");
 
-  const RecoveryResult f = MeasureFprRecovery(quick);
+  const RecoveryResult f = MeasureFprRecovery(args.quick);
   const bool recovered = f.fpr_after < f.budget;
   std::printf("FPR recovery (adversarial repeat on a loose shard):\n");
   std::printf("  %-28s %s -> %s\n", "migration", f.from_family.c_str(),
@@ -338,7 +289,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(f.pause_ns));
   std::printf("  recovery -> %s\n", recovered ? "ok" : "FAIL");
 
-  if (!json_path.empty()) WriteJson(json_path, p, f, ratio, pause_ok, recovered);
-  if (!pause_ok || !recovered) return 1;
-  return 0;
+  report.Add({{"phase", "migration_pause"}},
+             {{"steady_p50_ns", "ns", p.steady_p50_ns},
+              {"steady_p99_ns", "ns", p.steady_p99_ns},
+              {"swap_p50_ns", "ns", p.swap_p50_ns},
+              {"swap_p99_ns", "ns", p.swap_p99_ns},
+              {"max_pause_ns", "ns", p.max_pause_ns},
+              {"migrations", "count", p.migrations},
+              {"swap_p99_over_steady_p99", "x", ratio},
+              {"within_10x_budget", "bool", pause_ok}});
+  report.Add({{"phase", "fpr_recovery"},
+              {"from_family", f.from_family},
+              {"to_family", f.to_family}},
+             {{"fpr_budget", "ratio", f.budget},
+              {"hot_set_fpr_before", "ratio", f.fpr_before},
+              {"hot_set_fpr_after", "ratio", f.fpr_after},
+              {"migration_pause_ns", "ns", f.pause_ns},
+              {"recovered", "bool", recovered}});
+  return report.Finish(pause_ok && recovered);
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Builds and runs the throughput experiments, emitting BENCH_batch.json,
-# BENCH_concurrent.json, BENCH_hash.json, BENCH_obs.json, BENCH_lsm.json,
-# BENCH_net.json, BENCH_tuner.json, and BENCH_range.json at the repo root
-# so successive PRs accumulate a perf trajectory.
+# Builds and runs every bench that writes a BENCH_<name>.json, leaving the
+# files at the repo root so successive changes accumulate a perf
+# trajectory. Each file carries the host, SIMD kernel, commit and build
+# type in its header (bench/harness.h).
 #
 # Usage: bench/run_bench.sh [--quick] [BUILD_DIR]
 #   --quick    smaller key counts (skips the out-of-LLC batch runs and
@@ -11,6 +11,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+BENCHES="batch concurrent hash obs lsm net tuner range"
 
 QUICK=""
 BUILD_DIR="build"
@@ -21,16 +23,11 @@ for arg in "$@"; do
   esac
 done
 
+# Reconfiguring re-reads the commit that the JSON headers record.
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" --target bench_batch bench_concurrent bench_hash \
-  bench_obs bench_lsm bench_net bench_tuner bench_range -j "$(nproc)" \
-  >/dev/null
+cmake --build "$BUILD_DIR" --target $(printf 'bench_%s ' $BENCHES) \
+  -j "$(nproc)" >/dev/null
 
-"$BUILD_DIR"/bench/bench_batch $QUICK --json=BENCH_batch.json
-"$BUILD_DIR"/bench/bench_concurrent $QUICK --json=BENCH_concurrent.json
-"$BUILD_DIR"/bench/bench_hash $QUICK --json=BENCH_hash.json
-"$BUILD_DIR"/bench/bench_obs $QUICK --json=BENCH_obs.json
-"$BUILD_DIR"/bench/bench_lsm $QUICK --json=BENCH_lsm.json
-"$BUILD_DIR"/bench/bench_net $QUICK --json=BENCH_net.json
-"$BUILD_DIR"/bench/bench_tuner $QUICK --json=BENCH_tuner.json
-"$BUILD_DIR"/bench/bench_range $QUICK --json=BENCH_range.json
+for b in $BENCHES; do
+  "$BUILD_DIR/bench/bench_$b" $QUICK --json="BENCH_$b.json"
+done
