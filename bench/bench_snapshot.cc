@@ -5,17 +5,17 @@
 // rebuilding repays one random cache line (or more) per key. This bench
 // measures both paths per family and the blob size the frame costs.
 //
-// Usage: bench_snapshot [--quick]
+// Usage: bench_snapshot [--quick] [--json=PATH]
 //   --quick  200k keys (default 2M).
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "harness.h"
 #include "core/factory.h"
 #include "core/filter_io.h"
 #include "core/sharded_filter.h"
@@ -35,7 +35,14 @@ struct Row {
   size_t blob_bytes;
 };
 
-void Print(const Row& r, uint64_t n) {
+/// Prints the row and records it; a family whose reload disagrees is
+/// printed as a mismatch and fails the run.
+void Record(Report* report, const Row& r, bool loaded_ok, bool* ok) {
+  if (!loaded_ok) {
+    std::printf("  %-14s LOAD MISMATCH\n", r.filter.c_str());
+    *ok = false;
+    return;
+  }
   std::printf("  %-14s build %7.1f ms   save %6.1f ms (%6.1f MB/s)   "
               "load %6.1f ms (%6.1f MB/s)   %5.2fx vs rebuild   "
               "%5.1f MiB\n",
@@ -44,7 +51,11 @@ void Print(const Row& r, uint64_t n) {
               r.blob_bytes / r.load_s / 1e6,
               r.load_s > 0 ? r.build_s / r.load_s : 0.0,
               r.blob_bytes / 1048576.0);
-  (void)n;
+  report->Add({{"filter", r.filter}},
+              {{"build_s", "s", r.build_s},
+               {"save_s", "s", r.save_s},
+               {"load_s", "s", r.load_s},
+               {"blob_bytes", "bytes", r.blob_bytes}});
 }
 
 std::vector<uint64_t> MakeKeys(uint64_t n) {
@@ -56,7 +67,8 @@ std::vector<uint64_t> MakeKeys(uint64_t n) {
 
 /// Dynamic families: rebuild = construct + InsertMany; load = framed
 /// snapshot through the factory (core/filter_io.h).
-void BenchDynamic(std::string_view tag, const std::vector<uint64_t>& keys) {
+void BenchDynamic(std::string_view tag, const std::vector<uint64_t>& keys,
+                  Report* report, bool* ok) {
   Row r{std::string(tag), 0, 0, 0, 0};
   std::unique_ptr<Filter> built;
   r.build_s = Seconds([&] {
@@ -77,15 +89,11 @@ void BenchDynamic(std::string_view tag, const std::vector<uint64_t>& keys) {
     std::istringstream is(blob);
     loaded = LoadFilterSnapshot(is);
   });
-  if (!loaded || loaded->NumKeys() != built->NumKeys()) {
-    std::printf("  %-14s LOAD MISMATCH\n", r.filter.c_str());
-    return;
-  }
-  Print(r, keys.size());
+  Record(report, r, loaded && loaded->NumKeys() == built->NumKeys(), ok);
 }
 
 /// Static families: rebuild = the peeling/solving construction itself.
-void BenchXor(const std::vector<uint64_t>& keys) {
+void BenchXor(const std::vector<uint64_t>& keys, Report* report, bool* ok) {
   Row r{"xor", 0, 0, 0, 0};
   std::unique_ptr<Filter> built;
   r.build_s =
@@ -102,14 +110,11 @@ void BenchXor(const std::vector<uint64_t>& keys) {
     std::istringstream is(blob);
     loaded = LoadFilterSnapshot(is);
   });
-  if (!loaded || loaded->NumKeys() != built->NumKeys()) {
-    std::printf("  %-14s LOAD MISMATCH\n", r.filter.c_str());
-    return;
-  }
-  Print(r, keys.size());
+  Record(report, r, loaded && loaded->NumKeys() == built->NumKeys(), ok);
 }
 
-void BenchSharded(const std::vector<uint64_t>& keys) {
+void BenchSharded(const std::vector<uint64_t>& keys,
+                  Report* report, bool* ok) {
   Row r{"sharded(16)", 0, 0, 0, 0};
   std::unique_ptr<ShardedFilter> built;
   r.build_s = Seconds([&] {
@@ -130,30 +135,26 @@ void BenchSharded(const std::vector<uint64_t>& keys) {
     std::istringstream is(blob);
     loaded = LoadFilterSnapshot(is);
   });
-  if (!loaded || loaded->NumKeys() != built->NumKeys()) {
-    std::printf("  %-14s LOAD MISMATCH\n", r.filter.c_str());
-    return;
-  }
-  Print(r, keys.size());
+  Record(report, r, loaded && loaded->NumKeys() == built->NumKeys(), ok);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  uint64_t n = 2000000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) n = 200000;
-  }
+  const Args args = ParseArgs(argc, argv);
+  const uint64_t n = args.quick ? 200000 : 2000000;
+  Report report("snapshot", args);
+  bool ok = true;
   const std::vector<uint64_t> keys = MakeKeys(n);
   std::printf("E19 snapshot: save/load vs rebuild, n=%llu keys\n\n",
               static_cast<unsigned long long>(n));
   for (std::string_view tag :
        {"bloom", "blocked-bloom", "quotient", "cuckoo", "taffy"}) {
-    BenchDynamic(tag, keys);
+    BenchDynamic(tag, keys, &report, &ok);
   }
-  BenchXor(keys);
-  BenchSharded(keys);
+  BenchXor(keys, &report, &ok);
+  BenchSharded(keys, &report, &ok);
   std::printf("\n(load MB/s is framed-stream parse incl. checksum; "
               "'x vs rebuild' = build time / load time)\n");
-  return 0;
+  return report.Finish(ok);
 }

@@ -91,6 +91,7 @@ struct Server::Worker {
     bool closing = false;  // Flush `out`, then close.
     bool paused = false;   // Over budget: EPOLLIN disabled until drained.
     bool peer_eof = false;  // Peer half-closed; serve what we hold, then go.
+    uint32_t events = EPOLLIN;  // Interest mask last registered with epoll.
     int64_t last_activity_ms = 0;
     int64_t deadline_ms = 0;  // 0 = no armed deadline.
   };
@@ -134,13 +135,20 @@ struct Server::Worker {
     return conn.out.size() - conn.out_off;
   }
 
+  /// Registers the interest mask the connection's state calls for. Most
+  /// flushes leave it unchanged (reading, nothing pending), so the
+  /// syscall is only made when the mask differs from the registered one.
   void UpdateEpoll(Conn& conn) {
+    uint32_t want = 0;
+    if (!conn.paused && !conn.closing && !conn.peer_eof) want |= EPOLLIN;
+    if (PendingBytes(conn) > 0) want |= EPOLLOUT;
+    if (want == conn.events) return;
     epoll_event ev{};
     ev.data.fd = conn.fd;
-    ev.events = 0;
-    if (!conn.paused && !conn.closing && !conn.peer_eof) ev.events |= EPOLLIN;
-    if (PendingBytes(conn) > 0) ev.events |= EPOLLOUT;
-    epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+    ev.events = want;
+    if (epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+      conn.events = want;
+    }
   }
 
   void CloseConn(int fd) {
@@ -171,7 +179,7 @@ struct Server::Worker {
     conn.fd = fd;
     conn.last_activity_ms = NowMs();
     epoll_event ev{};
-    ev.events = EPOLLIN;
+    ev.events = conn.events;
     ev.data.fd = fd;
     if (epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);

@@ -6,6 +6,7 @@
 // corruptions, zero acked-then-lost inserts.
 
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -440,6 +441,91 @@ TEST(WireServer, OverBudgetRequestsGetBusyNacksNotSilence) {
   EXPECT_GT(busy, 0u) << "budget never engaged — backpressure untested";
   EXPECT_GT(ok, 0u);
   EXPECT_EQ(server.metrics().nacked_busy.Load(), busy);
+  server.Shutdown();
+}
+
+TEST(WireServer, BackedUpOutputRearmsWritesAndKeepsResponsesInOrder) {
+  auto filter = MakeFilter();
+  const auto keys = GenerateDistinctKeys(4096, TestSeed(903));
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    ASSERT_TRUE(filter->Insert(keys[i]));
+  }
+  ServerConfig config;
+  config.num_threads = 1;
+  Server server(filter.get(), config);
+  ASSERT_TRUE(server.Start());
+
+  // A socketpair whose server end sends through a tiny buffer: a burst of
+  // responses the client does not read backs up into the server's own
+  // output queue, which the server can only empty on EPOLLOUT.
+  int sp[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+  int tiny = 4096;
+  ASSERT_EQ(setsockopt(sp[1], SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)), 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  setsockopt(sp[0], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  server.AdoptConnection(sp[1]);
+
+  constexpr size_t kFrameKeys = 256;
+  constexpr uint64_t kFrames = 128;
+  constexpr size_t kResponseBytes = kFrames * (kWireHeaderBytes + kFrameKeys);
+  uint64_t seq = 0;
+  // Two rounds: EPOLLOUT is armed, disarmed once the queue drains, and
+  // armed again — the registered interest mask must follow each change.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const uint64_t first_seq = seq + 1;
+    const uint64_t served_before = server.metrics().frames_served.Load();
+    std::string burst;
+    std::vector<std::vector<uint8_t>> expected;
+    for (uint64_t f = 0; f < kFrames; ++f) {
+      const size_t off =
+          ((round * kFrames + f) * 37) % (keys.size() - kFrameKeys);
+      const std::span<const uint64_t> batch(keys.data() + off, kFrameKeys);
+      burst += EncodeFrame(Opcode::kLookup, FrameStatus::kOk, kFrameKeys,
+                           ++seq, EncodeKeysPayload(batch));
+      expected.emplace_back(kFrameKeys);
+      filter->ContainsMany(batch, expected.back().data());
+    }
+    ASSERT_TRUE(RawWrite(sp[0], burst));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.metrics().frames_served.Load() < served_before + kFrames &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.metrics().frames_served.Load(), served_before + kFrames);
+    // Every response is written, but the socket holds only part of them:
+    // the rest waits in the server for the socket to become writable.
+    int queued = 0;
+    ASSERT_EQ(ioctl(sp[0], FIONREAD, &queued), 0);
+    ASSERT_LT(static_cast<size_t>(queued), kResponseBytes);
+
+    std::string stream;
+    char chunk[4096];
+    while (stream.size() < kResponseBytes) {
+      const ssize_t n = ::recv(sp[0], chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0) << "stalled after " << stream.size() << " bytes";
+      stream.append(chunk, static_cast<size_t>(n));
+    }
+    ASSERT_EQ(stream.size(), kResponseBytes);
+    const auto frames = ParseFrames(stream);
+    ASSERT_EQ(frames.size(), kFrames);
+    for (uint64_t f = 0; f < kFrames; ++f) {
+      const ParsedFrame& frame = frames[f];
+      ASSERT_EQ(frame.header.seq, first_seq + f);
+      ASSERT_EQ(frame.header.status, static_cast<uint8_t>(FrameStatus::kOk));
+      ASSERT_EQ(frame.payload,
+                std::string(expected[f].begin(), expected[f].end()));
+    }
+  }
+  EXPECT_EQ(server.metrics().nacked_busy.Load(), 0u);
+  EXPECT_EQ(server.metrics().evicted_deadline.Load(), 0u);
+  EXPECT_EQ(server.metrics().evicted_idle.Load(), 0u);
+  EXPECT_EQ(server.metrics().closed.Load(), 0u);
+  SyncClient client(sp[0]);
+  EXPECT_EQ(client.Ping(), FrameStatus::kOk) << "connection did not survive";
   server.Shutdown();
 }
 

@@ -144,6 +144,54 @@ TEST(InstrumentedFilter, BatchCountersAreExact) {
   EXPECT_GE(lat.samples, 1u);  // Batch lookups record amortized samples.
 }
 
+TEST(InstrumentedFilter, SampledBatchClockKeepsCountersExact) {
+  InstrumentedFilter f(std::make_unique<BloomFilter>(4096, 12.0),
+                       /*configured_epsilon=*/0.01);
+  const auto keys = GenerateDistinctKeys(1000, 31);
+  const auto ghosts = GenerateNegativeKeys(keys, 1000, 32);
+  f.InsertMany(keys);
+
+  // Calls of 1..N keys alternating between present and absent keys, so
+  // sizes and hit counts differ from call to call.
+  constexpr uint64_t kCalls = 37;
+  const uint64_t every = InstrumentedFilter::kBatchLatencySampleEvery;
+  uint64_t lookups = 0;
+  uint64_t hits = 0;
+  std::vector<uint8_t> out(kCalls);
+  for (uint64_t call = 0; call < kCalls; ++call) {
+    const auto& src = call % 2 == 0 ? keys : ghosts;
+    const std::span<const uint64_t> batch(src.data() + call, call + 1);
+    f.ContainsMany(batch, out.data());
+    lookups += batch.size();
+    for (size_t i = 0; i < batch.size(); ++i) hits += out[i];
+    if (call == 0) {
+      EXPECT_EQ(f.metrics().lookup_latency.Snap().samples, 1u)
+          << "the first batch call is clocked";
+    }
+  }
+
+  const FilterMetrics& m = f.metrics();
+  EXPECT_EQ(m.lookups.Load(), lookups);
+  EXPECT_EQ(m.lookup_hits.Load(), hits);
+  const obs::HistogramSnapshot batches = m.batch_size.Snapshot("b");
+  EXPECT_EQ(batches.count, kCalls);
+  EXPECT_EQ(batches.sum, lookups);
+  EXPECT_EQ(m.lookup_latency.Snap().samples, (kCalls + every - 1) / every);
+}
+
+TEST(InstrumentedFilter, BatchInsertsRecordEveryInDomainKey) {
+  // Enough keys that the in-domain ones span several sample chunks.
+  InstrumentedFilter f(std::make_unique<BloomFilter>(40000, 10.0), 0.01);
+  const auto keys = GenerateDistinctKeys(40000, 41);
+  uint64_t in_domain = 0;
+  for (uint64_t k : keys) {
+    in_domain += ObservedFprEstimator::InDomain(HashedKey(k));
+  }
+  ASSERT_GT(in_domain, 4 * InstrumentedFilter::kInsertSampleChunk);
+  EXPECT_EQ(f.InsertMany(keys), keys.size());
+  EXPECT_EQ(f.metrics().fpr.Snap().tracked_keys, in_domain);
+}
+
 TEST(InstrumentedFilter, ProbeLengthSamplesQuotientScans) {
   InstrumentedFilter f(std::make_unique<QuotientFilter>(
                            QuotientFilter::ForCapacity(4096, 0.01)),

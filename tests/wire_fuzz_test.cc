@@ -57,6 +57,112 @@ std::vector<std::string> SeedFrames(uint64_t seed) {
   };
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<uint8_t>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 15]);
+  }
+  return out;
+}
+
+// A fixed lookup request and its response, byte for byte. The expected
+// hex was written down from the byte-at-a-time codec, so any rewrite of
+// the encoder has to reproduce the same stream: the header fields in
+// little-endian order, and both checksums.
+const std::vector<uint64_t> kGoldenKeys = {1, 0x0123456789ABCDEFULL,
+                                           ~uint64_t{0}};
+constexpr uint64_t kGoldenSeq = 0x1122334455667788ULL;
+constexpr char kGoldenAnswers[] = {1, 0, 1};
+constexpr char kGoldenRequestHex[] =
+    "4242465749524531"   // magic "BBFWIRE1"
+    "01020000"           // version 1, kLookup, kOk, flags 0
+    "03000000"           // count 3
+    "8877665544332211"   // seq
+    "1800000000000000"   // payload_len 24
+    "3b873cf787a679f6"   // checksum
+    "0100000000000000"   // keys
+    "efcdab8967452301"
+    "ffffffffffffffff";
+constexpr char kGoldenResponseHex[] =
+    "4242465749524531"
+    "01020000"
+    "03000000"
+    "8877665544332211"
+    "0300000000000000"   // payload_len 3
+    "ac7dbe3c6ef4c2ea"
+    "010001";            // present, absent, present
+
+TEST(WireGolden, LookupRequestAndResponseBytesArePinned) {
+  const std::string request =
+      EncodeFrame(Opcode::kLookup, FrameStatus::kOk,
+                  static_cast<uint32_t>(kGoldenKeys.size()), kGoldenSeq,
+                  EncodeKeysPayload(kGoldenKeys));
+  const std::string response = EncodeFrame(
+      Opcode::kLookup, FrameStatus::kOk,
+      static_cast<uint32_t>(std::size(kGoldenAnswers)), kGoldenSeq,
+      std::string_view(kGoldenAnswers, std::size(kGoldenAnswers)));
+  EXPECT_EQ(Hex(request), kGoldenRequestHex);
+  EXPECT_EQ(Hex(response), kGoldenResponseHex);
+
+  FrameHeader h;
+  std::string_view payload;
+  size_t consumed = 0;
+  ASSERT_EQ(CutFrame(request, &h, &payload, &consumed), CutResult::kFrame);
+  EXPECT_EQ(consumed, request.size());
+  EXPECT_EQ(h.opcode, static_cast<uint8_t>(Opcode::kLookup));
+  EXPECT_EQ(h.count, kGoldenKeys.size());
+  EXPECT_EQ(h.seq, kGoldenSeq);
+  std::vector<uint64_t> keys;
+  ASSERT_TRUE(DecodeKeysPayload(h, payload, &keys));
+  EXPECT_EQ(keys, kGoldenKeys);
+
+  ASSERT_EQ(CutFrame(response, &h, &payload, &consumed), CutResult::kFrame);
+  EXPECT_EQ(consumed, response.size());
+  EXPECT_EQ(h.status, static_cast<uint8_t>(FrameStatus::kOk));
+  EXPECT_EQ(h.count, std::size(kGoldenAnswers));
+  EXPECT_EQ(h.seq, kGoldenSeq);
+  EXPECT_EQ(payload, std::string_view(kGoldenAnswers,
+                                      std::size(kGoldenAnswers)));
+}
+
+TEST(WireGolden, LiveServerAnswersTheGoldenRequestWithTheGoldenResponse) {
+  ShardedFilter filter(1 << 16, 4, [](uint64_t cap) -> std::unique_ptr<Filter> {
+    return std::make_unique<QuotientFilter>(
+        QuotientFilter::ForCapacity(cap, 0.01));
+  });
+  ASSERT_TRUE(filter.Insert(kGoldenKeys[0]));
+  ASSERT_TRUE(filter.Insert(kGoldenKeys[2]));
+  ASSERT_FALSE(filter.Contains(kGoldenKeys[1]));
+  Server server(&filter);
+  ASSERT_TRUE(server.Listen(0));
+  ASSERT_TRUE(server.Start());
+
+  const int fd = SyncClient::ConnectTcp(server.port());
+  ASSERT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 5;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const std::string request =
+      EncodeFrame(Opcode::kLookup, FrameStatus::kOk,
+                  static_cast<uint32_t>(kGoldenKeys.size()), kGoldenSeq,
+                  EncodeKeysPayload(kGoldenKeys));
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  ::shutdown(fd, SHUT_WR);
+  std::string stream;
+  char chunk[256];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    stream.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(Hex(stream), kGoldenResponseHex);
+  server.Shutdown();
+}
+
 /// CutFrame's structural invariants, whatever the input: consumed stays
 /// inside the buffer, exposed payloads stay inside the buffer and under
 /// the cap, and the classification is internally consistent.
